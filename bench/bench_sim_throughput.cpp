@@ -19,13 +19,13 @@
  * tracking whether per-event cost stays flat as simulated CPUs go
  * 28 -> 1024 (docs/performance.md, "big-topology engine").
  *
- * Reported metrics are simulated memory operations and fiber switches per
- * host second. The simulated results stay bit-identical run to run (the
- * acquisition-order hashes are printed so a trajectory diff catches any
- * drift); only the host wall-clock numbers vary. With NUCALOCK_BENCH_JSON
- * set, writes a nucalock-bench-report document whose per-run "host"
- * object carries the throughput numbers (the only nondeterministic part of
- * the report).
+ * Reported metrics are simulated memory operations and scheduling events
+ * (SimMachine::fiber_switches) per host second. The simulated results stay
+ * bit-identical run to run (the acquisition-order hashes are printed so a
+ * trajectory diff catches any drift); only the host wall-clock numbers
+ * vary. With NUCALOCK_BENCH_JSON set, writes a nucalock-bench-report
+ * document whose per-run "host" object carries the throughput numbers (the
+ * only nondeterministic part of the report).
  */
 #include <algorithm>
 #include <chrono>
@@ -113,9 +113,9 @@ measure_single(LockKind kind, std::uint32_t critical_work,
  * The workload is the paper's Figure 4 microbenchmark at its default
  * critical/private work, so the event mix matches what real runs hosted
  * by this engine look like. A handover-dominated stress variant (tiny
- * critical sections, every few events a switch to a cold thread) pays a
- * further ~10% per event at 1024 threads from host cache misses that
- * prefetching cannot fully hide; docs/performance.md quantifies it.
+ * critical sections, every few events a switch to a cold thread) pays
+ * more per event at 1024 threads from host cache misses that prefetching
+ * cannot fully hide; docs/performance.md quantifies it.
  *
  * Each shape runs three times and reports the fastest wall time: the
  * simulated result is bit-identical every repetition (asserted), so the

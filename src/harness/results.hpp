@@ -59,7 +59,8 @@ struct BenchResult
 
     /** Simulated memory operations the engine executed for this run. */
     std::uint64_t sim_memory_accesses = 0;
-    /** Fiber context switches the engine performed for this run. */
+    /** Scheduling events the engine took for this run
+     *  (SimMachine::fiber_switches: one per pick, inlined ones included). */
     std::uint64_t sim_fiber_switches = 0;
     /**
      * Host wall-clock nanoseconds spent inside SimMachine::run() alone —

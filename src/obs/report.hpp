@@ -93,7 +93,8 @@ struct HostStats
     double wall_ns = 0.0;
     /** Simulated memory operations executed per host second. */
     double events_per_sec = 0.0;
-    /** Fiber context switches executed per host second. */
+    /** Scheduling events (sim_fiber_switches) per host second; inlined
+     *  events count, so this is not a host context-switch rate. */
     double switches_per_sec = 0.0;
     /** Worker count the run used (1 = sequential). */
     int jobs = 1;

@@ -311,6 +311,15 @@ SimMachine::block_until(SimContext& ctx, SimTime t)
                    : t;
     hot.state = ThreadState::Runnable;
     ready_.push_or_update(ctx.tid_, hot.wake);
+    // Inline continuation: if this thread is still the earliest runnable,
+    // run_timed() would resume it next under the same (wake, tid) rule, so
+    // take that scheduling event here and return straight into the lock
+    // code instead of a yield/resume round trip. Not with faults installed:
+    // sweep_deaths() must run between events. An event that fails its
+    // checks yields instead, so run_timed() diagnoses it on the host stack.
+    if (injector_ == nullptr && ready_.top_tid() == ctx.tid_ &&
+        begin_event(hot.wake))
+        return;
     hot.fiber->yield();
 }
 
@@ -505,6 +514,18 @@ SimMachine::run()
     ran_ = true;
 }
 
+bool
+SimMachine::begin_event(SimTime wake)
+{
+    NUCA_ASSERT(wake >= now_, "time went backwards");
+    if ((checker_ != nullptr && checker_->watchdog_expired(wake)) ||
+        wake > cfg_.max_sim_time)
+        return false;
+    now_ = wake;
+    ++fiber_switches_;
+    return true;
+}
+
 void
 SimMachine::run_timed()
 {
@@ -541,19 +562,18 @@ SimMachine::run_timed()
         // of prefetch distance.
         if (const int follow = ready_.runner_up_tid(); follow >= 0)
             prefetch_resume_state(follow);
-        NUCA_ASSERT(next.wake >= now_, "time went backwards");
-        now_ = next.wake;
-        if (checker_ != nullptr && checker_->watchdog_expired(now_))
-            panic_with_diagnosis(
-                "progress watchdog expired: threads are waiting but no "
-                "critical-section activity for " +
-                std::to_string(checker_->config().watchdog_window_ns) + " ns");
-        if (now_ > cfg_.max_sim_time)
+        if (!begin_event(next.wake)) {
+            now_ = next.wake;
+            if (checker_ != nullptr && checker_->watchdog_expired(now_))
+                panic_with_diagnosis(
+                    "progress watchdog expired: threads are waiting but no "
+                    "critical-section activity for " +
+                    std::to_string(checker_->config().watchdog_window_ns) +
+                    " ns");
             panic_with_diagnosis(
                 "simulated time exceeded max_sim_time (livelock?)");
-
+        }
         current_tid_ = next_tid;
-        ++fiber_switches_;
         next.fiber->resume();
         current_tid_ = -1;
         // Freshly yielded: remember where, so the next wake of this thread

@@ -120,7 +120,9 @@ class SimContext
     /**
      * Read (and, when @p write, also increment) @p count consecutive words
      * starting at @p first — the critical-section data access of the
-     * microbenchmarks, batched into one engine event for speed.
+     * microbenchmarks. Each load and store is its own engine event, exactly
+     * as if the caller had issued them one by one, so every transaction
+     * queues at the resources in issue order.
      */
     void touch_array(Ref first, std::uint32_t count, bool write);
 
@@ -260,6 +262,12 @@ class SimMachine
     SimMemory& memory() { return memory_; }
     const SimMemory& memory() const { return memory_; }
 
+    /**
+     * Scheduling events: one per time a thread is picked to run, counted
+     * whether the pick resumes a parked fiber or lets the running thread
+     * continue inline (see block_until). A property of the simulated run,
+     * not of how many host context switches it took.
+     */
     std::uint64_t fiber_switches() const { return fiber_switches_; }
 
     /**
@@ -410,8 +418,24 @@ class SimMachine
     /** The controlled scheduling loop (Scheduler installed). */
     void run_controlled();
 
-    /** Block the current thread until simulated time @p t. */
+    /**
+     * Block the current thread until simulated time @p t. In timed mode
+     * without a fault injector, a thread that is still the earliest
+     * runnable after re-keying continues inline: the scheduling event is
+     * taken here and no fiber switch happens.
+     */
     void block_until(SimContext& ctx, SimTime t);
+
+    /**
+     * Start a timed-mode scheduling event for a thread woken at @p wake:
+     * run the per-event checks (time order, progress watchdog,
+     * max_sim_time), then advance the clock and count the event. Shared by
+     * run_timed() and block_until()'s inline continuation. Returns false,
+     * changing nothing, when the watchdog or time limit would fire; only
+     * run_timed() then diagnoses it, because the diagnosis exits and must
+     * not run on a fiber stack (the stack pool is unmapped at exit).
+     */
+    bool begin_event(SimTime wake);
 
     /** Block the current thread on a watcher for @p ref (value @p v). */
     void wait_on(SimContext& ctx, MemRef ref, std::uint64_t v);

@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "sim/engine.hpp"
+#include "sim/invariants.hpp"
 
 namespace {
 
@@ -244,7 +245,38 @@ TEST(Engine, FiberSwitchesCounted)
         ctx.delay_ns(1);
     });
     m.run();
-    EXPECT_GE(m.fiber_switches(), 3u); // two yields plus completion
+    // One scheduling event per pick: the first resume plus one per delay.
+    // The thread is alone, so both delays continue inline; an inlined pick
+    // counts like a resumed one.
+    EXPECT_EQ(m.fiber_switches(), 3u);
+}
+
+TEST(Engine, EqualWakeYieldsToLowerTid)
+{
+    // Thread 1 re-keys itself to the very time thread 0 is already waiting
+    // for. The (wake, tid) rule picks thread 0 first, so thread 1 must not
+    // continue inline; at a strictly earlier wake it must.
+    std::vector<int> order;
+    SimMachine m(Topology::symmetric(1, 2));
+    m.add_thread(0, [&](SimContext& ctx) {
+        ctx.delay_ns(100);
+        order.push_back(0);
+        ctx.delay_ns(100); // wakes at 200
+        order.push_back(0);
+    });
+    m.add_thread(1, [&](SimContext& ctx) {
+        ctx.delay_ns(100); // tie with thread 0 at 100
+        order.push_back(1);
+        ctx.delay_ns(99); // 199: still earliest, continues inline
+        order.push_back(1);
+        ctx.delay_ns(1); // tie with thread 0 at 200
+        order.push_back(1);
+    });
+    m.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 1, 0, 1}));
+    EXPECT_EQ(m.now(), 200u);
+    // 2 initial resumes + 2 delays on thread 0 + 3 on thread 1.
+    EXPECT_EQ(m.fiber_switches(), 7u);
 }
 
 TEST(EngineDeathTest, DeadlockIsDiagnosed)
@@ -287,7 +319,35 @@ TEST(EngineDeathTest, LivelockGuardFires)
         while (true)
             ctx.delay_ns(100);
     });
-    EXPECT_DEATH(m.run(), "max_sim_time");
+    // The lone thread trips the guard on its inline-continuation path; the
+    // diagnosis must still exit cleanly with the verdict code.
+    EXPECT_EXIT(m.run(), ::testing::ExitedWithCode(kDiagnosisExitCode),
+                "max_sim_time");
+}
+
+TEST(EngineDeathTest, WatchdogFiresWhileRunnerContinuesInline)
+{
+    // Thread 0 waits for a lock word nobody releases; thread 1, the only
+    // runnable thread, loops on private work and so never leaves the
+    // inline-continuation path. The per-event progress watchdog must still
+    // fire there, at the first tick past its window (t=10100), long before
+    // the livelock guard would.
+    InvariantChecker checker(InvariantConfig{.watchdog_window_ns = 10'000});
+    SimConfig cfg;
+    cfg.max_sim_time = 1'000'000;
+    SimMachine m(Topology::symmetric(1, 2), LatencyModel::wildfire(), cfg);
+    m.install_invariants(&checker);
+    const MemRef lock = m.alloc(1, 0);
+    m.add_thread(0, [&](SimContext& ctx) {
+        ctx.cs_wait_begin();
+        ctx.spin_while_equal(lock, 1);
+    });
+    m.add_thread(1, [](SimContext& ctx) {
+        while (true)
+            ctx.delay_ns(100);
+    });
+    EXPECT_EXIT(m.run(), ::testing::ExitedWithCode(kDiagnosisExitCode),
+                "progress watchdog expired.* at t=10100 ns");
 }
 
 TEST(EngineDeathTest, DiagnosedFailureUsesDistinctExitCode)
