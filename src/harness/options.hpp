@@ -1,7 +1,9 @@
 /**
  * @file
- * Command-line options for the nucabench tool (tools/nucabench.cpp):
- * parsing is kept in the library so it is unit-testable.
+ * Command-line options shared by the nucabench and nucaprof tools
+ * (tools/nucabench.cpp, tools/nucaprof.cpp): one parser, kept in the
+ * library so it is unit-testable. Fields marked "nucaprof only" have no
+ * effect in nucabench (which rejects --trace and --check-schema).
  */
 #ifndef NUCALOCK_HARNESS_OPTIONS_HPP
 #define NUCALOCK_HARNESS_OPTIONS_HPP
@@ -15,7 +17,7 @@
 
 namespace nucalock::harness {
 
-/** Which benchmark nucabench runs. */
+/** Which benchmark a tool run drives. */
 enum class CliBench
 {
     New,         // the paper's new microbenchmark (default)

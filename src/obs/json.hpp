@@ -100,6 +100,8 @@ struct JsonValue
 
     /** Member lookup; nullptr when absent or not an object. */
     const JsonValue* find(std::string_view name) const;
+
+    bool operator==(const JsonValue&) const = default;
 };
 
 /** Parse @p text; nullopt (with *error set when given) on malformed input. */

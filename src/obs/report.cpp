@@ -1,7 +1,10 @@
 #include "obs/report.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <sstream>
+#include <string_view>
 
 namespace nucalock::obs {
 
@@ -492,6 +495,10 @@ write_robustness(JsonWriter& w, const RobustnessReport& r)
     w.end_object();
 }
 
+/** Report objects whose values vary between hosts and repetitions: host
+ *  wall-clock measurements and hardware-counter readings. */
+constexpr const char* kNondeterministicKeys[] = {"host", "native_traffic"};
+
 } // namespace
 
 void
@@ -571,11 +578,36 @@ write_report(std::ostream& os, const ReportConfig& config,
     os << '\n';
 }
 
+void
+strip_nondeterministic(JsonValue& document)
+{
+    if (document.is_object()) {
+        for (const char* key : kNondeterministicKeys)
+            document.object.erase(key);
+        for (auto& [key, child] : document.object)
+            strip_nondeterministic(child);
+    } else if (document.is_array()) {
+        for (JsonValue& child : document.array)
+            strip_nondeterministic(child);
+    }
+}
+
 // ---------------------------------------------------------------------------
-// Validation
+// Validation: write_report is the schema. A document is checked against the
+// shape the writer emits for an exemplar input, so the two cannot drift.
 // ---------------------------------------------------------------------------
 
 namespace {
+
+/** Keys the writer emits only for some runs, cells, or resources. */
+constexpr std::string_view kOptionalKeys[] = {
+    "host", "adaptive", "structs", "native_traffic", "robustness",
+    "busy_ns_bins", "tx_bins", "unavailable_reason", "detail", "what",
+    "trace", "minimal_trace"};
+
+/** Keys whose value may be null instead of the exemplar's type. */
+constexpr std::string_view kNullableKeys[] = {"metrics",
+                                              "perf_event_paranoid"};
 
 bool
 fail(std::string* error, const std::string& message)
@@ -585,418 +617,117 @@ fail(std::string* error, const std::string& message)
     return false;
 }
 
-bool
-require_number(const JsonValue& parent, const char* name, std::string* error,
-               const std::string& where)
+const char*
+type_name(JsonValue::Type type)
 {
-    const JsonValue* v = parent.find(name);
-    if (v == nullptr)
-        return fail(error, where + ": missing field '" + name + "'");
-    if (!v->is_number())
-        return fail(error, where + ": field '" + name + "' must be a number");
-    return true;
+    switch (type) {
+      case JsonValue::Type::Null: return "null";
+      case JsonValue::Type::Bool: return "a boolean";
+      case JsonValue::Type::Number: return "a number";
+      case JsonValue::Type::String: return "a string";
+      case JsonValue::Type::Array: return "an array";
+      case JsonValue::Type::Object: return "an object";
+    }
+    return "?";
 }
 
-bool
-require_string(const JsonValue& parent, const char* name, std::string* error,
-               const std::string& where)
+/**
+ * The report write_report emits for synthetic inputs that switch on every
+ * optional object and put one element in every array: the reference shape
+ * validate_report checks documents against. Values are irrelevant; only
+ * keys and JSON types are compared.
+ */
+JsonValue
+make_exemplar()
 {
-    const JsonValue* v = parent.find(name);
-    if (v == nullptr)
-        return fail(error, where + ": missing field '" + name + "'");
-    if (!v->is_string())
-        return fail(error, where + ": field '" + name + "' must be a string");
-    return true;
+    constexpr std::uint64_t kLock = 1;
+    MetricsRegistry registry;
+    registry.on_event({LockEvent::AcquireAttempt, 1, kLock, 0, 0, 0, 0, 0});
+    registry.on_event({LockEvent::Acquired, 2, kLock, 0, 0, 0, 0, 0});
+    // A gear switch makes the run emit its "adaptive" object.
+    registry.on_event({LockEvent::AdaptSwitch, 3, kLock, 0, 0, 0, 1 << 8, 0});
+    registry.on_event({LockEvent::Released, 4, kLock, 0, 0, 0, 0, 0});
+    registry.finalize();
+
+    harness::BenchResult result;
+    result.traffic_attribution.per_lock.resize(1);
+    result.traffic_attribution.per_lock[0].lock_id = kLock;
+    result.traffic_attribution.per_node.resize(1);
+    sim::ResourceUsage bus;
+    bus.series_bin_ns = 1; // emits busy_ns_bins and tx_bins
+    bus.busy_ns_bins = {0};
+    bus.tx_bins = {0};
+    result.contention.resources = {bus};
+
+    structs::KvStructsStats kv;
+    kv.per_stripe.resize(1);
+
+    NativeTrafficStats native;
+    native.available = false; // emits unavailable_reason
+    native.paranoid_level = 0; // a number, not null
+    native.events = {{CounterEvent::Cycles, CounterState::Denied, "detail"}};
+    native.per_lock.resize(1);
+
+    ReportRun run{"exemplar", result, &registry};
+    run.host.valid = true;
+    run.structs = &kv;
+    run.native_traffic = &native;
+
+    RobustnessReport robustness;
+    robustness.presets = {"preset"};
+    RobustnessCell cell;
+    cell.failed = true; // emits what
+    cell.trace = "trace";
+    cell.minimal_trace = "trace";
+    robustness.cells = {cell};
+    robustness.per_lock.resize(1);
+
+    std::ostringstream os;
+    write_report(os, ReportConfig{}, {run}, &robustness);
+    return *json_parse(os.str());
 }
 
-bool
-validate_histogram(const JsonValue& h, std::string* error,
-                   const std::string& where)
+const JsonValue&
+exemplar()
 {
-    if (!h.is_object())
-        return fail(error, where + " must be an object");
-    for (const char* field : {"count", "mean", "p50", "p90", "p99", "max"})
-        if (!require_number(h, field, error, where))
-            return false;
-    return true;
+    static const JsonValue document = make_exemplar();
+    return document;
 }
 
+/**
+ * Check @p got against @p want: every key of an exemplar object must be
+ * present (unless optional) with the same JSON type (or null, if
+ * nullable), and every array element must match the exemplar's first
+ * element. Keys the exemplar lacks are allowed.
+ */
 bool
-validate_summary(const JsonValue& s, std::string* error,
-                 const std::string& where)
+check_shape(const JsonValue& want, const JsonValue& got,
+            const std::string& path, std::string* error)
 {
-    if (!s.is_object())
-        return fail(error, where + " must be an object");
-    for (const char* field : {"count", "mean", "min", "max", "stddev"})
-        if (!require_number(s, field, error, where))
-            return false;
-    return true;
-}
-
-bool
-validate_result(const JsonValue& r, std::string* error,
-                const std::string& where)
-{
-    if (!r.is_object())
-        return fail(error, where + " must be an object");
-    for (const char* field :
-         {"total_time_ns", "total_acquires", "avg_iteration_ns",
-          "node_handoff_ratio", "fairness_spread_pct", "sim_memory_accesses",
-          "sim_fiber_switches", "memtrace_events", "memtrace_dropped"})
-        if (!require_number(r, field, error, where))
-            return false;
-    if (!require_string(r, "acquisition_order_hash", error, where))
-        return false;
-    const JsonValue* traffic = r.find("traffic");
-    if (traffic == nullptr || !traffic->is_object())
-        return fail(error, where + ": 'traffic' must be an object");
-    for (const char* field : {"local_tx", "global_tx", "data_fetch_tx",
-                              "invalidation_tx", "atomic_tx"})
-        if (!require_number(*traffic, field, error, where + ".traffic"))
-            return false;
-    return true;
-}
-
-bool
-validate_tx_count(const JsonValue& c, std::string* error,
-                  const std::string& where)
-{
-    if (!c.is_object())
-        return fail(error, where + " must be an object");
-    for (const char* field : {"local_tx", "global_tx"})
-        if (!require_number(c, field, error, where))
-            return false;
-    return true;
-}
-
-bool
-validate_run_traffic(const JsonValue& t, std::string* error,
-                     const std::string& where)
-{
-    if (!t.is_object())
-        return fail(error, where + " must be an object");
-    for (const char* field :
-         {"local_tx_per_acquisition", "global_tx_per_acquisition"})
-        if (!require_number(t, field, error, where))
-            return false;
-    const JsonValue* per_lock = t.find("per_lock");
-    if (per_lock == nullptr || !per_lock->is_array())
-        return fail(error, where + ": 'per_lock' must be an array");
-    for (std::size_t i = 0; i < per_lock->array.size(); ++i) {
-        const std::string lw = where + ".per_lock[" + std::to_string(i) + "]";
-        const JsonValue& lock = per_lock->array[i];
-        if (!lock.is_object())
-            return fail(error, lw + " must be an object");
-        if (!require_string(lock, "lock_id", error, lw))
-            return false;
-        for (const char* field :
-             {"acquisitions", "local_tx", "global_tx",
-              "local_tx_per_acquisition", "global_tx_per_acquisition"})
-            if (!require_number(lock, field, error, lw))
+    if (got.type != want.type)
+        return fail(error, path + " must be " + type_name(want.type));
+    if (want.is_array() && !want.array.empty()) {
+        for (std::size_t i = 0; i < got.array.size(); ++i)
+            if (!check_shape(want.array.front(), got.array[i],
+                             path + "[" + std::to_string(i) + "]", error))
                 return false;
-        const JsonValue* phases = lock.find("phases");
-        if (phases == nullptr || !phases->is_object())
-            return fail(error, lw + ": 'phases' must be an object");
-        for (const char* phase : {"none", "acquire_spin", "handover",
-                                  "critical", "release", "gate_publish"}) {
-            const JsonValue* p = phases->find(phase);
-            if (p == nullptr ||
-                !validate_tx_count(*p, error,
-                                   lw + ".phases." + phase))
+    } else if (want.is_object()) {
+        for (const auto& [key, child] : want.object) {
+            const JsonValue* v = got.find(key);
+            if (v == nullptr) {
+                if (std::ranges::count(kOptionalKeys, key) != 0)
+                    continue;
+                return fail(error, (path.empty() ? "report" : path) +
+                                       ": missing field '" + key + "'");
+            }
+            if (v->type == JsonValue::Type::Null &&
+                std::ranges::count(kNullableKeys, key) != 0)
+                continue;
+            if (!check_shape(child, *v, path.empty() ? key : path + "." + key,
+                             error))
                 return false;
         }
     }
-    const JsonValue* per_node = t.find("per_node");
-    if (per_node == nullptr || !per_node->is_array())
-        return fail(error, where + ": 'per_node' must be an array");
-    for (std::size_t i = 0; i < per_node->array.size(); ++i) {
-        const std::string nw = where + ".per_node[" + std::to_string(i) + "]";
-        const JsonValue& nm = per_node->array[i];
-        if (!nm.is_object())
-            return fail(error, nw + " must be an object");
-        for (const char* field : {"node", "local_tx", "global_tx"})
-            if (!require_number(nm, field, error, nw))
-                return false;
-    }
-    for (const char* object : {"attributed", "unattributed"}) {
-        const JsonValue* c = t.find(object);
-        if (c == nullptr ||
-            !validate_tx_count(*c, error, where + "." + object))
-            return false;
-    }
-    return true;
-}
-
-bool
-validate_run_contention(const JsonValue& c, std::string* error,
-                        const std::string& where)
-{
-    if (!c.is_object())
-        return fail(error, where + " must be an object");
-    for (const char* field : {"sim_time_ns", "series_bin_ns"})
-        if (!require_number(c, field, error, where))
-            return false;
-    const JsonValue* resources = c.find("resources");
-    if (resources == nullptr || !resources->is_array())
-        return fail(error, where + ": 'resources' must be an array");
-    for (std::size_t i = 0; i < resources->array.size(); ++i) {
-        const std::string rw =
-            where + ".resources[" + std::to_string(i) + "]";
-        const JsonValue& r = resources->array[i];
-        if (!r.is_object())
-            return fail(error, rw + " must be an object");
-        if (!require_string(r, "name", error, rw))
-            return false;
-        for (const char* field : {"node", "transactions", "busy_ns",
-                                  "queue_ns", "utilization"})
-            if (!require_number(r, field, error, rw))
-                return false;
-        const JsonValue* h = r.find("queue_delay_ns");
-        if (h == nullptr ||
-            !validate_histogram(*h, error, rw + ".queue_delay_ns"))
-            return false;
-        // The series arrays are optional (present only when a bin width
-        // was configured); when present they must be arrays.
-        for (const char* bins : {"busy_ns_bins", "tx_bins"})
-            if (const JsonValue* b = r.find(bins);
-                b != nullptr && !b->is_array())
-                return fail(error, rw + ": '" + bins + "' must be an array");
-    }
-    return true;
-}
-
-bool
-validate_lock_metrics(const JsonValue& lm, std::string* error,
-                      const std::string& where)
-{
-    if (!lm.is_object())
-        return fail(error, where + " must be an object");
-    if (!require_string(lm, "lock_id", error, where))
-        return false;
-    for (const char* field :
-         {"attempts", "acquisitions", "releases", "handovers_local",
-          "handovers_remote", "repeats", "local_handover_fraction",
-          "remote_handover_fraction", "angry_transitions"})
-        if (!require_number(lm, field, error, where))
-            return false;
-    const JsonValue* batches = lm.find("node_batch_lengths");
-    if (batches == nullptr ||
-        !validate_summary(*batches, error, where + ".node_batch_lengths"))
-        return false;
-    for (const char* histogram : {"wait_ns", "hold_ns"}) {
-        const JsonValue* h = lm.find(histogram);
-        if (h == nullptr ||
-            !validate_histogram(*h, error, where + "." + histogram))
-            return false;
-    }
-    const JsonValue* backoff = lm.find("backoff");
-    if (backoff == nullptr || !backoff->is_object())
-        return fail(error, where + ": 'backoff' must be an object");
-    for (const char* cls : {"generic", "local", "remote"}) {
-        const JsonValue* b = backoff->find(cls);
-        if (b == nullptr || !b->is_object())
-            return fail(error,
-                        where + ".backoff: missing class '" + cls + "'");
-        for (const char* field : {"episodes", "total_ns"})
-            if (!require_number(*b, field, error,
-                                where + ".backoff." + cls))
-                return false;
-    }
-    const JsonValue* gate = lm.find("gate");
-    if (gate == nullptr || !gate->is_object())
-        return fail(error, where + ": 'gate' must be an object");
-    for (const char* field :
-         {"blocked", "passed", "publishes", "opens", "block_fraction"})
-        if (!require_number(*gate, field, error, where + ".gate"))
-            return false;
-    const JsonValue* per_node = lm.find("per_node");
-    if (per_node == nullptr || !per_node->is_array())
-        return fail(error, where + ": 'per_node' must be an array");
-    for (std::size_t i = 0; i < per_node->array.size(); ++i) {
-        const std::string nw = where + ".per_node[" + std::to_string(i) + "]";
-        const JsonValue& nm = per_node->array[i];
-        if (!nm.is_object())
-            return fail(error, nw + " must be an object");
-        for (const char* field : {"node", "acquisitions", "handovers_in",
-                                  "gate_blocked", "gate_passed"})
-            if (!require_number(nm, field, error, nw))
-                return false;
-    }
-    return true;
-}
-
-bool
-validate_metrics(const JsonValue& m, std::string* error,
-                 const std::string& where)
-{
-    if (!m.is_object())
-        return fail(error, where + " must be an object or null");
-    if (!require_number(m, "events_seen", error, where))
-        return false;
-    if (!require_string(m, "primary_lock_id", error, where))
-        return false;
-    const JsonValue* locks = m.find("locks");
-    if (locks == nullptr || !locks->is_array())
-        return fail(error, where + ": 'locks' must be an array");
-    for (std::size_t i = 0; i < locks->array.size(); ++i)
-        if (!validate_lock_metrics(locks->array[i], error,
-                                   where + ".locks[" + std::to_string(i) +
-                                       "]"))
-            return false;
-    const JsonValue* per_cpu = m.find("per_cpu");
-    if (per_cpu == nullptr || !per_cpu->is_array())
-        return fail(error, where + ": 'per_cpu' must be an array");
-    for (std::size_t i = 0; i < per_cpu->array.size(); ++i) {
-        const std::string cw = where + ".per_cpu[" + std::to_string(i) + "]";
-        const JsonValue& cm = per_cpu->array[i];
-        if (!cm.is_object())
-            return fail(error, cw + " must be an object");
-        for (const char* field : {"cpu", "acquisitions", "backoff_episodes",
-                                  "backoff_ns", "cs_ns"})
-            if (!require_number(cm, field, error, cw))
-                return false;
-    }
-    return true;
-}
-
-bool
-validate_native_traffic(const JsonValue& nt, std::string* error,
-                        const std::string& where)
-{
-    if (!nt.is_object())
-        return fail(error, where + " must be an object");
-    const JsonValue* available = nt.find("available");
-    if (available == nullptr || available->type != JsonValue::Type::Bool)
-        return fail(error, where + ": 'available' must be a boolean");
-    if (!require_string(nt, "source", error, where))
-        return false;
-    const JsonValue* paranoid = nt.find("perf_event_paranoid");
-    if (paranoid == nullptr ||
-        (paranoid->type != JsonValue::Type::Null && !paranoid->is_number()))
-        return fail(error,
-                    where + ": 'perf_event_paranoid' must be number or null");
-    if (!available->boolean &&
-        !require_string(nt, "unavailable_reason", error, where))
-        return false;
-    for (const char* field :
-         {"samples", "threads", "time_enabled_ns", "time_running_ns",
-          "local_tx_per_acquisition", "global_tx_per_acquisition"})
-        if (!require_number(nt, field, error, where))
-            return false;
-    const JsonValue* multiplexed = nt.find("multiplexed");
-    if (multiplexed == nullptr ||
-        multiplexed->type != JsonValue::Type::Bool)
-        return fail(error, where + ": 'multiplexed' must be a boolean");
-    const JsonValue* events = nt.find("events");
-    if (events == nullptr || !events->is_array())
-        return fail(error, where + ": 'events' must be an array");
-    for (std::size_t i = 0; i < events->array.size(); ++i) {
-        const std::string ew = where + ".events[" + std::to_string(i) + "]";
-        const JsonValue& e = events->array[i];
-        if (!e.is_object())
-            return fail(error, ew + " must be an object");
-        for (const char* field : {"event", "status"})
-            if (!require_string(e, field, error, ew))
-                return false;
-        if (const JsonValue* detail = e.find("detail");
-            detail != nullptr && !detail->is_string())
-            return fail(error, ew + ": 'detail' must be a string");
-    }
-    const JsonValue* per_lock = nt.find("per_lock");
-    if (per_lock == nullptr || !per_lock->is_array())
-        return fail(error, where + ": 'per_lock' must be an array");
-    for (std::size_t i = 0; i < per_lock->array.size(); ++i) {
-        const std::string lw = where + ".per_lock[" + std::to_string(i) + "]";
-        const JsonValue& lock = per_lock->array[i];
-        if (!lock.is_object())
-            return fail(error, lw + " must be an object");
-        if (!require_string(lock, "lock_id", error, lw))
-            return false;
-        const JsonValue* phases = lock.find("phases");
-        if (phases == nullptr || !phases->is_object())
-            return fail(error, lw + ": 'phases' must be an object");
-        for (const char* phase : {"none", "acquire_spin", "handover",
-                                  "critical", "release", "gate_publish"}) {
-            const JsonValue* p = phases->find(phase);
-            const std::string pw = lw + ".phases." + phase;
-            if (p == nullptr || !p->is_object())
-                return fail(error, pw + " must be an object");
-            for (const char* field : {"cycles", "instructions",
-                                      "llc_load_misses", "remote_accesses"})
-                if (!require_number(*p, field, error, pw))
-                    return false;
-        }
-    }
-    return true;
-}
-
-bool
-validate_robustness(const JsonValue& r, std::string* error,
-                    const std::string& where)
-{
-    if (!r.is_object())
-        return fail(error, where + " must be an object");
-    const JsonValue* campaign = r.find("campaign");
-    if (campaign == nullptr || !campaign->is_object())
-        return fail(error, where + ": 'campaign' must be an object");
-    const JsonValue* presets = campaign->find("presets");
-    if (presets == nullptr || !presets->is_array())
-        return fail(error, where + ".campaign: 'presets' must be an array");
-    for (const JsonValue& p : presets->array)
-        if (!p.is_string())
-            return fail(error,
-                        where + ".campaign.presets entries must be strings");
-    for (const char* field :
-         {"timeout_ns", "iterations", "first_seed", "num_seeds"})
-        if (!require_number(*campaign, field, error, where + ".campaign"))
-            return false;
-    const JsonValue* cells = r.find("cells");
-    if (cells == nullptr || !cells->is_array())
-        return fail(error, where + ": 'cells' must be an array");
-    for (std::size_t i = 0; i < cells->array.size(); ++i) {
-        const std::string cw = where + ".cells[" + std::to_string(i) + "]";
-        const JsonValue& c = cells->array[i];
-        if (!c.is_object())
-            return fail(error, cw + " must be an object");
-        for (const char* field : {"lock", "preset", "verdict", "stop"})
-            if (!require_string(c, field, error, cw))
-                return false;
-        for (const char* field :
-             {"nodes", "cpus_per_node", "seed", "steps", "acquisitions",
-              "timeouts", "mutex_violations", "faults_injected",
-              "max_overshoot_ns", "overshoot_bound_ns", "abandons", "parked",
-              "grant_races", "reclaims", "rejoins", "unparks",
-              "leaked_nodes"})
-            if (!require_number(c, field, error, cw))
-                return false;
-        // "what"/"trace"/"minimal_trace" are optional (failed cells only).
-        for (const char* field : {"what", "trace", "minimal_trace"})
-            if (const JsonValue* v = c.find(field);
-                v != nullptr && !v->is_string())
-                return fail(error,
-                            cw + ": '" + field + "' must be a string");
-    }
-    const JsonValue* per_lock = r.find("per_lock");
-    if (per_lock == nullptr || !per_lock->is_array())
-        return fail(error, where + ": 'per_lock' must be an array");
-    for (std::size_t i = 0; i < per_lock->array.size(); ++i) {
-        const std::string lw = where + ".per_lock[" + std::to_string(i) + "]";
-        const JsonValue& row = per_lock->array[i];
-        if (!row.is_object())
-            return fail(error, lw + " must be an object");
-        if (!require_string(row, "lock", error, lw))
-            return false;
-        for (const char* field :
-             {"cells", "failures", "acquisitions", "timeouts", "abandons",
-              "parked", "grant_races", "reclaims", "rejoins", "unparks",
-              "leaked_nodes", "max_overshoot_ns"})
-            if (!require_number(row, field, error, lw))
-                return false;
-    }
-    if (!require_number(r, "failures", error, where))
-        return false;
-    if (!require_string(r, "verdict", error, where))
-        return false;
     return true;
 }
 
@@ -1021,154 +752,19 @@ validate_report(const JsonValue& document, std::string* error)
                         std::to_string(static_cast<int>(version->number)) +
                         ", tool understands v" +
                         std::to_string(kReportSchemaVersion));
-    if (!require_string(document, "tool", error, "report"))
+    if (!check_shape(exemplar(), document, "", error))
         return false;
-
-    const JsonValue* config = document.find("config");
-    if (config == nullptr || !config->is_object())
-        return fail(error, "'config' must be an object");
-    if (!require_string(*config, "bench", error, "config"))
-        return false;
-    for (const char* field :
-         {"nodes", "cpus_per_node", "threads", "critical_work",
-          "private_work", "iterations", "nuca_ratio", "seed"})
-        if (!require_number(*config, field, error, "config"))
-            return false;
-
-    const JsonValue* runs = document.find("runs");
-    if (runs == nullptr || !runs->is_array())
-        return fail(error, "'runs' must be an array");
-    for (std::size_t i = 0; i < runs->array.size(); ++i) {
-        const std::string where = "runs[" + std::to_string(i) + "]";
-        const JsonValue& run = runs->array[i];
-        if (!run.is_object())
-            return fail(error, where + " must be an object");
-        if (!require_string(run, "lock", error, where))
-            return false;
-        const JsonValue* result = run.find("result");
-        if (result == nullptr ||
-            !validate_result(*result, error, where + ".result"))
-            return false;
-        const JsonValue* traffic = run.find("traffic");
-        if (traffic == nullptr ||
-            !validate_run_traffic(*traffic, error, where + ".traffic"))
-            return false;
-        const JsonValue* contention = run.find("contention");
-        if (contention == nullptr ||
-            !validate_run_contention(*contention, error,
-                                     where + ".contention"))
-            return false;
-        const JsonValue* metrics = run.find("metrics");
-        if (metrics == nullptr)
-            return fail(error, where + ": missing field 'metrics'");
-        if (metrics->type != JsonValue::Type::Null &&
-            !validate_metrics(*metrics, error, where + ".metrics"))
-            return false;
-        // "host" is optional (bench_sim_throughput emits it); when present
-        // it must carry the wall-clock fields.
-        if (const JsonValue* host = run.find("host"); host != nullptr) {
-            if (!host->is_object())
-                return fail(error, where + ": 'host' must be an object");
-            for (const char* field : {"wall_ns", "events_per_sec",
-                                      "switches_per_sec", "jobs"})
-                if (!require_number(*host, field, error, where + ".host"))
-                    return false;
-        }
-        // "adaptive" is optional (v4; runs whose primary lock switched
-        // gears); when present it must carry the full telemetry shape.
-        if (const JsonValue* adaptive = run.find("adaptive");
-            adaptive != nullptr) {
-            const std::string aw = where + ".adaptive";
-            if (!adaptive->is_object())
-                return fail(error, aw + " must be an object");
-            if (!require_number(*adaptive, "switches", error, aw))
-                return false;
-            const JsonValue* reasons = adaptive->find("reasons");
-            if (reasons == nullptr || !reasons->is_object())
-                return fail(error, aw + ": 'reasons' must be an object");
-            for (const char* field : {"contention", "nuca_traffic", "quiet",
-                                      "timeout_storm", "recovery"})
-                if (!require_number(*reasons, field, error, aw + ".reasons"))
-                    return false;
-            const JsonValue* residency = adaptive->find("gear_residency_ns");
-            if (residency == nullptr || !residency->is_object())
-                return fail(error,
-                            aw + ": 'gear_residency_ns' must be an object");
-            for (const char* field : {"tatas", "hbo", "queue"})
-                if (!require_number(*residency, field, error,
-                                    aw + ".gear_residency_ns"))
-                    return false;
-            const JsonValue* h = adaptive->find("demote_latency_ns");
-            if (h == nullptr ||
-                !validate_histogram(*h, error, aw + ".demote_latency_ns"))
-                return false;
-        }
-        // "structs" is optional (v5; KV-service runs); when present it
-        // must carry the full data-structure telemetry shape.
-        if (const JsonValue* structs = run.find("structs");
-            structs != nullptr) {
-            const std::string sw = where + ".structs";
-            if (!structs->is_object())
-                return fail(error, sw + " must be an object");
-            for (const char* field :
-                 {"stripes", "reads", "writes", "scans", "inserts", "hits",
-                  "misses", "local_handover_fraction"})
-                if (!require_number(*structs, field, error, sw))
-                    return false;
-            const JsonValue* resize = structs->find("resize");
-            if (resize == nullptr || !resize->is_object())
-                return fail(error, sw + ": 'resize' must be an object");
-            for (const char* field : {"epochs", "migrated_keys", "stalls"})
-                if (!require_number(*resize, field, error, sw + ".resize"))
-                    return false;
-            const JsonValue* stall = resize->find("stall_ns");
-            if (stall == nullptr ||
-                !validate_histogram(*stall, error, sw + ".resize.stall_ns"))
-                return false;
-            const JsonValue* latency = structs->find("op_latency_ns");
-            if (latency == nullptr || !latency->is_object())
-                return fail(error,
-                            sw + ": 'op_latency_ns' must be an object");
-            for (const char* op : {"read", "write", "scan"}) {
-                const JsonValue* h = latency->find(op);
-                if (h == nullptr ||
-                    !validate_histogram(*h, error,
-                                        sw + ".op_latency_ns." + op))
-                    return false;
-            }
-            const JsonValue* per_stripe = structs->find("per_stripe");
-            if (per_stripe == nullptr || !per_stripe->is_array())
-                return fail(error, sw + ": 'per_stripe' must be an array");
-            for (std::size_t s = 0; s < per_stripe->array.size(); ++s) {
-                const std::string pw =
-                    sw + ".per_stripe[" + std::to_string(s) + "]";
-                const JsonValue& row = per_stripe->array[s];
-                if (!row.is_object())
-                    return fail(error, pw + " must be an object");
-                if (!require_string(row, "lock_id", error, pw))
-                    return false;
-                for (const char* field :
-                     {"stripe", "acquisitions", "handovers_local",
-                      "handovers_remote", "local_handover_fraction",
-                      "migrations"})
-                    if (!require_number(row, field, error, pw))
-                        return false;
-            }
-        }
-        // "native_traffic" is optional (v6; native-backend runs); when
-        // present it must carry the availability marker and the counter
-        // tables — empty tables with a reason when perf was denied.
-        if (const JsonValue* nt = run.find("native_traffic");
-            nt != nullptr &&
-            !validate_native_traffic(*nt, error, where + ".native_traffic"))
-            return false;
-    }
-    // v3: "robustness" is optional (fault-campaign reports only); when
-    // present it must carry the full campaign/cells/per_lock shape.
-    if (const JsonValue* robustness = document.find("robustness");
-        robustness != nullptr &&
-        !validate_robustness(*robustness, error, "robustness"))
-        return false;
+    // The one rule a shape cannot express: a native_traffic object without
+    // counts must say why.
+    const std::vector<JsonValue>& runs = document.find("runs")->array;
+    for (std::size_t i = 0; i < runs.size(); ++i)
+        if (const JsonValue* nt = runs[i].find("native_traffic");
+            nt != nullptr && !nt->find("available")->boolean &&
+            nt->find("unavailable_reason") == nullptr)
+            return fail(error, "runs[" + std::to_string(i) +
+                                   "].native_traffic: missing field "
+                                   "'unavailable_reason' (required when "
+                                   "'available' is false)");
     return true;
 }
 

@@ -41,8 +41,20 @@
  * Shared by tools/nucaprof (full metrics) and tools/nucabench --json
  * (results only). The schema is documented in docs/observability.md; bump
  * kReportSchemaVersion on any breaking change to the emitted shape.
- * validate_report() checks a parsed document against the schema and is
- * what `nucaprof --check-schema` (and the CI perf-smoke job) run.
+ *
+ * write_report() is the schema's only definition. validate_report() (what
+ * `nucaprof --check-schema` and CI run) derives the shape from it: it
+ * writes an exemplar report once — synthetic inputs with every optional
+ * object present and one element in every array — and requires every key
+ * of every exemplar object, with the same JSON type, in the document
+ * (array elements are checked against the exemplar's first element).
+ * The exceptions are two lists beside the check: optional keys (host,
+ * adaptive, structs, native_traffic, robustness, busy_ns_bins, tx_bins,
+ * unavailable_reason, detail, what, trace, minimal_trace) and nullable
+ * keys (metrics, perf_event_paranoid). One rule is explicit:
+ * native_traffic.available == false requires unavailable_reason. A new
+ * field is therefore a writer-only change — plus an exemplar input when
+ * it sits inside a new array or optional object.
  */
 #ifndef NUCALOCK_OBS_REPORT_HPP
 #define NUCALOCK_OBS_REPORT_HPP
@@ -197,15 +209,25 @@ void write_report(std::ostream& os, const ReportConfig& config,
                   const RobustnessReport* robustness = nullptr);
 
 /**
- * Validate a parsed report against the v6 schema. Returns true when the
- * document conforms; otherwise false with a description in *error. A
- * version mismatch fails with "report is vN, tool understands vM" so a
- * reader paired with the wrong tool build is diagnosed immediately.
+ * Validate a parsed report against the v6 schema (the shape write_report
+ * emits; see the file comment). Returns true when the document conforms;
+ * otherwise false with a description in *error naming the offending path,
+ * e.g. "runs[0].result: missing field 'lock_timeouts'". A version mismatch
+ * fails with "report is vN, tool understands vM" so a reader paired with
+ * the wrong tool build is diagnosed immediately.
  */
 bool validate_report(const JsonValue& document, std::string* error);
 
 /** Parse + validate a report file. */
 bool validate_report_text(std::string_view text, std::string* error);
+
+/**
+ * Remove, at every depth, the objects whose values differ between hosts
+ * and repetitions ("host" and "native_traffic"), leaving the part of a
+ * report that is a deterministic function of the run. `nucaprof --diff`
+ * compares reports after this.
+ */
+void strip_nondeterministic(JsonValue& document);
 
 } // namespace nucalock::obs
 

@@ -10,6 +10,8 @@
 
 #include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "harness/newbench.hpp"
 #include "obs/json.hpp"
@@ -427,6 +429,265 @@ TEST(Report, VersionMismatchNamesBothVersions)
     const std::string expected = "report is v5, tool understands v" +
                                  std::to_string(kReportSchemaVersion);
     EXPECT_NE(error.find(expected), std::string::npos) << error;
+}
+
+/** Keys the schema lets a report omit (report.hpp lists the same set). */
+bool
+optional_report_key(const std::string& key)
+{
+    for (const char* k :
+         {"host", "adaptive", "structs", "native_traffic", "robustness",
+          "busy_ns_bins", "tx_bins", "unavailable_reason", "detail", "what",
+          "trace", "minimal_trace"})
+        if (key == k)
+            return true;
+    return false;
+}
+
+/** Inputs that make write_report emit every optional object. */
+struct FullReportInputs
+{
+    MetricsRegistry registry;
+    BenchResult result;
+    structs::KvStructsStats kv;
+    NativeTrafficStats native;
+    RobustnessReport robustness;
+
+    FullReportInputs()
+    {
+        // Two nodes, an ADAPTIVE gear switch, a gate and a backoff episode.
+        registry.on_event(rec(LockEvent::AcquireAttempt, 1, 7, 0, 0, 0));
+        registry.on_event(rec(LockEvent::Acquired, 2, 7, 0, 0, 0));
+        registry.on_event(rec(LockEvent::AdaptSwitch, 3, 7, 0, 0, 0, 1 << 8));
+        registry.on_event(rec(LockEvent::Released, 4, 7, 0, 0, 0));
+        registry.on_event(rec(LockEvent::AcquireAttempt, 5, 7, 1, 4, 1));
+        registry.on_event(rec(LockEvent::GateBlocked, 6, 7, 1, 4, 1));
+        registry.on_event(rec(LockEvent::BackoffBegin, 7, 7, 1, 4, 1, 10, 2));
+        registry.on_event(rec(LockEvent::BackoffEnd, 8, 7, 1, 4, 1));
+        registry.on_event(rec(LockEvent::Acquired, 9, 7, 1, 4, 1));
+        registry.on_event(rec(LockEvent::Released, 10, 7, 1, 4, 1));
+        registry.finalize();
+
+        result.total_acquires = 2;
+        result.traffic_attribution.per_lock.resize(1);
+        result.traffic_attribution.per_lock[0].lock_id = 7;
+        result.traffic_attribution.per_node.resize(2);
+        sim::ResourceUsage link;
+        link.name = "link";
+        link.series_bin_ns = 100;
+        link.busy_ns_bins = {10, 20};
+        link.tx_bins = {1, 2};
+        result.contention.resources = {link};
+
+        kv.per_stripe.resize(2);
+        kv.per_stripe[1].lock_id = 9;
+
+        native.available = false;
+        native.unavailable_reason = "denied";
+        native.paranoid_level = 2;
+        native.source = "fake";
+        native.events = {{CounterEvent::Cycles, CounterState::Denied,
+                          "EACCES (perf_event_paranoid=2)"}};
+        native.per_lock.resize(1);
+
+        robustness.presets = {"holderdeath"};
+        RobustnessCell cell;
+        cell.lock = "MCS";
+        cell.failed = true;
+        cell.what = "overshoot";
+        cell.trace = "nc1:1";
+        cell.minimal_trace = "nc1:0";
+        robustness.cells = {cell};
+        robustness.per_lock.resize(1);
+        robustness.failures = 1;
+    }
+
+    std::string
+    write(bool nondeterministic = true) const
+    {
+        ReportConfig config;
+        config.tool = "nucaprof";
+        config.bench = "new";
+        ReportRun run{"ADAPTIVE", result, &registry};
+        run.host.valid = nondeterministic;
+        run.structs = &kv;
+        run.native_traffic = nondeterministic ? &native : nullptr;
+        std::ostringstream oss;
+        write_report(oss, config, {run}, &robustness);
+        return oss.str();
+    }
+};
+
+/** Where a key sits: the steps to its parent object plus the key itself. */
+struct KeySite
+{
+    std::vector<std::string> parent; ///< object keys, or "[i]" indices
+    std::string parent_path;         ///< validator spelling, "" at the root
+    std::string key;
+};
+
+void
+collect_key_sites(const JsonValue& v, const std::vector<std::string>& steps,
+                  const std::string& path, std::vector<KeySite>& out)
+{
+    if (v.is_object()) {
+        for (const auto& [key, child] : v.object) {
+            out.push_back({steps, path, key});
+            std::vector<std::string> next = steps;
+            next.push_back(key);
+            collect_key_sites(child, next, path.empty() ? key : path + "." + key,
+                              out);
+        }
+    } else if (v.is_array()) {
+        for (std::size_t i = 0; i < v.array.size(); ++i) {
+            const std::string index = "[" + std::to_string(i) + "]";
+            std::vector<std::string> next = steps;
+            next.push_back(index);
+            collect_key_sites(v.array[i], next, path + index, out);
+        }
+    }
+}
+
+JsonValue&
+value_at(JsonValue& root, const std::vector<std::string>& steps)
+{
+    JsonValue* v = &root;
+    for (const std::string& step : steps)
+        v = step.front() == '['
+                ? &v->array.at(std::stoul(step.substr(1)))
+                : &v->object.at(step);
+    return *v;
+}
+
+TEST(Report, EveryKeyTheWriterEmitsIsRequiredUnlessOptional)
+{
+    const FullReportInputs inputs;
+    const auto document = json_parse(inputs.write());
+    ASSERT_TRUE(document.has_value());
+    std::string error;
+    ASSERT_TRUE(validate_report(*document, &error)) << error;
+
+    std::vector<KeySite> sites;
+    collect_key_sites(*document, {}, "", sites);
+    ASSERT_GT(sites.size(), 300u);
+    for (const KeySite& site : sites) {
+        JsonValue doc = *document;
+        value_at(doc, site.parent).object.erase(site.key);
+        const std::string where =
+            (site.parent_path.empty() ? "" : site.parent_path + ".") +
+            site.key;
+        error.clear();
+        const bool accepted = validate_report(doc, &error);
+        // unavailable_reason is optional in shape, but required by the one
+        // explicit rule: this document has available == false.
+        if (optional_report_key(site.key) &&
+            site.key != "unavailable_reason") {
+            EXPECT_TRUE(accepted) << "without " << where << ": " << error;
+            continue;
+        }
+        EXPECT_FALSE(accepted) << "accepted without " << where;
+        EXPECT_NE(error.find("'" + site.key + "'"), std::string::npos)
+            << where << ": " << error;
+        if (!site.parent_path.empty()) {
+            EXPECT_NE(error.find(site.parent_path + ":"), std::string::npos)
+                << where << ": " << error;
+        }
+    }
+}
+
+TEST(Report, DriftedFieldsAreRejectedNamingTheFirstMissing)
+{
+    // The seven fields an earlier hand-written validator never checked.
+    const FullReportInputs inputs;
+    auto document = json_parse(inputs.write());
+    ASSERT_TRUE(document.has_value());
+    JsonValue& run = document->object.at("runs").array.at(0);
+    JsonValue& result = run.object.at("result");
+    for (const char* key : {"faults_injected", "mutex_violations",
+                            "lock_timeouts"})
+        result.object.erase(key);
+    JsonValue& metrics = run.object.at("metrics");
+    for (JsonValue& lock : metrics.object.at("locks").array) {
+        lock.object.erase("try_attempts");
+        lock.object.erase("gates_closed_in_anger");
+        for (JsonValue& node : lock.object.at("per_node").array)
+            node.object.erase("batch_lengths");
+    }
+    for (JsonValue& cpu : metrics.object.at("per_cpu").array)
+        cpu.object.erase("wait_ns");
+
+    std::string error;
+    EXPECT_FALSE(validate_report(*document, &error));
+    EXPECT_EQ(error,
+              "runs[0].metrics.locks[0]: missing field "
+              "'gates_closed_in_anger'");
+}
+
+TEST(Report, NullableKeysAndTheUnavailableReasonRule)
+{
+    const FullReportInputs inputs;
+    const auto document = json_parse(inputs.write());
+    ASSERT_TRUE(document.has_value());
+    const auto run_of = [](JsonValue& doc) -> JsonValue& {
+        return doc.object.at("runs").array.at(0);
+    };
+    std::string error;
+
+    // nucabench --json writes "metrics": null; a host whose
+    // perf_event_paranoid is unreadable writes null there.
+    JsonValue doc = *document;
+    run_of(doc).object.at("metrics") = JsonValue{};
+    EXPECT_TRUE(validate_report(doc, &error)) << error;
+    doc = *document;
+    run_of(doc).object.at("native_traffic").object.at("perf_event_paranoid") =
+        JsonValue{};
+    EXPECT_TRUE(validate_report(doc, &error)) << error;
+
+    // No counts and no reason.
+    doc = *document;
+    run_of(doc).object.at("native_traffic").object.erase("unavailable_reason");
+    error.clear();
+    EXPECT_FALSE(validate_report(doc, &error));
+    EXPECT_NE(error.find("runs[0].native_traffic: missing field "
+                         "'unavailable_reason'"),
+              std::string::npos)
+        << error;
+
+    // A bool where the writer emits a number, and a number for a bool.
+    doc = *document;
+    JsonValue& acquires =
+        run_of(doc).object.at("result").object.at("total_acquires");
+    acquires = JsonValue{};
+    acquires.type = JsonValue::Type::Bool;
+    error.clear();
+    EXPECT_FALSE(validate_report(doc, &error));
+    EXPECT_EQ(error, "runs[0].result.total_acquires must be a number");
+
+    doc = *document;
+    JsonValue& available =
+        run_of(doc).object.at("native_traffic").object.at("available");
+    available = JsonValue{};
+    available.type = JsonValue::Type::Number;
+    available.number = 1;
+    error.clear();
+    EXPECT_FALSE(validate_report(doc, &error));
+    EXPECT_EQ(error, "runs[0].native_traffic.available must be a boolean");
+}
+
+TEST(Report, StrippedReportEqualsTheReportWrittenWithoutHostObjects)
+{
+    const FullReportInputs inputs;
+    auto with = json_parse(inputs.write(/*nondeterministic=*/true));
+    const auto without = json_parse(inputs.write(/*nondeterministic=*/false));
+    ASSERT_TRUE(with.has_value());
+    ASSERT_TRUE(without.has_value());
+    const JsonValue& run = with->object.at("runs").array.at(0);
+    ASSERT_NE(run.find("host"), nullptr);
+    ASSERT_NE(run.find("native_traffic"), nullptr);
+    EXPECT_FALSE(*with == *without);
+
+    strip_nondeterministic(*with);
+    EXPECT_TRUE(*with == *without);
 }
 
 // --------------------------------------- probes do not perturb the run --

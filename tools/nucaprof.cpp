@@ -334,23 +334,6 @@ show_robustness(const std::string& path)
     return failures == 0 ? 0 : 1;
 }
 
-/** Drop every nondeterministic report object: "host" (wall-clock host
- *  measurements) and "native_traffic" (hardware-counter readings vary
- *  between hosts and repetitions). */
-void
-strip_nondeterministic(obs::JsonValue& v)
-{
-    if (v.type == obs::JsonValue::Type::Object) {
-        v.object.erase("host");
-        v.object.erase("native_traffic");
-        for (auto& [key, child] : v.object)
-            strip_nondeterministic(child);
-    } else if (v.type == obs::JsonValue::Type::Array) {
-        for (obs::JsonValue& child : v.array)
-            strip_nondeterministic(child);
-    }
-}
-
 /** Append every path where @p a and @p b differ (caps at 32 entries). */
 void
 diff_values(const obs::JsonValue& a, const obs::JsonValue& b,
@@ -427,8 +410,8 @@ diff_reports(const std::string& spec)
     auto b = load_report(path_b);
     if (!a || !b)
         return 2;
-    strip_nondeterministic(*a);
-    strip_nondeterministic(*b);
+    obs::strip_nondeterministic(*a);
+    obs::strip_nondeterministic(*b);
     std::vector<std::string> diffs;
     diff_values(*a, *b, "$", diffs);
     if (diffs.empty()) {
