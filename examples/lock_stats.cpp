@@ -1,20 +1,23 @@
 /**
  * @file
- * Domain example: profile a contended lock with InstrumentedLock and the
- * simulator's access tracer — the workflow for answering "is this lock a
- * bottleneck, and is it fair?" before touching production code.
+ * Domain example: profile a contended lock with a MetricsRegistry probe
+ * sink and the simulator's access tracer — the workflow for answering "is
+ * this lock a bottleneck, and does it keep handovers local?" before
+ * touching production code.
  *
  * Scenario: a shared LRU-ish metadata table protected by one lock, updated
  * by 16 threads across two NUCA nodes. We print wait/hold-time percentiles
- * and node-handoff behaviour for two candidate locks, plus the first lines
- * of a raw lock-word trace.
+ * and local/remote handover counts for two candidate locks, plus the first
+ * lines of a raw lock-word trace. The registry folds the locks' own probe
+ * events, so the locks run unmodified and the run is bit-identical to an
+ * unobserved one.
  */
 #include <iostream>
 #include <sstream>
 
 #include "locks/hbo_gt_sd.hpp"
-#include "locks/instrumented.hpp"
 #include "locks/mcs.hpp"
+#include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 #include "sim/trace.hpp"
 #include "stats/table.hpp"
@@ -31,7 +34,9 @@ profile(const char* name, stats::Table& table, bool dump_trace)
 {
     SimMachine machine(Topology::wildfire(8));
     const std::uint32_t first_line = machine.memory().num_lines();
-    InstrumentedLock<Lock, SimContext> lock(machine);
+    Lock lock(machine);
+    obs::MetricsRegistry registry;
+    machine.install_probe(&registry);
 
     TraceRecorder recorder;
     recorder.watch_only({MemRef{first_line}});
@@ -52,17 +57,17 @@ profile(const char* name, stats::Table& table, bool dump_trace)
                         });
     machine.run();
 
-    const LockStats& s = lock.stats();
+    registry.finalize();
+    const obs::LockMetrics& m = *registry.primary();
     table.row()
         .cell(name)
-        .cell(s.acquisitions)
-        .cell(s.wait_ns.percentile(50), 0)
-        .cell(s.wait_ns.percentile(99), 0)
-        .cell(s.hold_ns.percentile(50), 0)
-        .cell(100.0 * static_cast<double>(s.contended_acquisitions) /
-                  static_cast<double>(s.acquisitions),
-              1)
-        .cell(s.handoff_ratio(), 3);
+        .cell(m.acquisitions)
+        .cell(m.wait_ns.percentile(50), 0)
+        .cell(m.wait_ns.percentile(99), 0)
+        .cell(m.hold_ns.percentile(50), 0)
+        .cell(m.handovers_local)
+        .cell(m.handovers_remote)
+        .cell(100.0 * m.local_handover_fraction(), 1);
 
     if (dump_trace) {
         std::ostringstream oss;
@@ -84,7 +89,8 @@ main()
     std::cout << "Lock profile: shared metadata table, 16 threads, 2-node "
                  "NUCA\n\n";
     stats::Table table({"Lock", "acquires", "wait p50 (ns)", "wait p99 (ns)",
-                        "hold p50 (ns)", "contended %", "node handoff"});
+                        "hold p50 (ns)", "local ho", "remote ho",
+                        "local ho %"});
     profile<McsLock<SimContext>>("MCS", table, false);
     profile<HboGtSdLock<SimContext>>("HBO_GT_SD", table, true);
     table.print(std::cout);

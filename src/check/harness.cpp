@@ -5,7 +5,7 @@
 
 #include "check/broken.hpp"
 #include "common/logging.hpp"
-#include "locks/instrumented.hpp" // detail::lock_clock_ns
+#include "locks/context.hpp" // detail::lock_clock_ns
 #include "sim/engine.hpp"
 #include "sim/faults.hpp"
 #include "sim/invariants.hpp"

@@ -3,8 +3,8 @@
  * Host-parallel job execution for independent simulator runs.
  *
  * Every experiment this repository produces — benchmark sweeps, nucacheck's
- * thousands of schedule explorations, nucaprof profiles — is a set of
- * *independent, deterministic, single-host-threaded* SimMachine runs. The
+ * thousands of schedule explorations, nucabench's per-lock runs — is a set
+ * of *independent, deterministic, single-host-threaded* SimMachine runs. The
  * Executor saturates the host with them: a fixed-size pool of worker
  * threads claims jobs from a shared batch with one atomic fetch-add per
  * claim (no queue lock on the hot path), results land by submission index

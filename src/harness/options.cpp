@@ -99,7 +99,8 @@ cli_usage()
            "                 [--shape=NxC] [--threads=N] [--critical-work=INTS]\n"
            "                 [--private-work=ITERS] [--iterations=N]\n"
            "                 [--nuca-ratio=R] [--seed=S] [--preemption]\n"
-           "                 [--faults=SPEC] [--csv] [--json=PATH]\n"
+           "                 [--faults=SPEC] [--csv] [--json=PATH] [--traffic]\n"
+           "                 [--trace=PATH] [--memtrace=PATH]\n"
            "                 [--app=kv|SPLASH2_NAME] [--kv-keys=N]\n"
            "                 [--kv-stripes=N] [--kv-read-pct=P]\n"
            "                 [--kv-write-pct=P] [--kv-scan-len=N]\n"
@@ -110,6 +111,10 @@ cli_usage()
            "                 [--adaptive-link-util=P] [--adaptive-storm=N]\n"
            "                 [--adaptive-quiet=N] [--adaptive-cooldown=N]\n"
            "                 [--help]\n"
+           "       nucabench --check-schema=REPORT.json\n"
+           "       nucabench --robustness=REPORT.json\n"
+           "       nucabench --diff=A.json,B.json\n"
+           "       nucabench --counters\n"
            "\n"
            "--jobs=N runs independent benchmark runs on N host threads\n"
            "(default: $NUCALOCK_JOBS, else hardware concurrency). Results\n"
@@ -130,7 +135,24 @@ cli_usage()
            "the sharded KV service over the striped hash map, tunable with\n"
            "the --kv-* knobs (keys, stripes, read/write mix, Zipf skew,\n"
            "ops per thread, resize storms). Any SPLASH-2 descriptor name\n"
-           "(e.g. --app=Raytrace) runs that model instead.\n";
+           "(e.g. --app=Raytrace) runs that model instead.\n"
+           "\n"
+           "--traffic, --json and --trace profile every run through the\n"
+           "lock-event probes (new, traditional and app --app=kv only).\n"
+           "--traffic appends the locality table (local/remote handovers,\n"
+           "node batches, backoff, gate blocks, SD anger), ADAPTIVE's gear\n"
+           "lines and the coherence-traffic attribution table (per-phase\n"
+           "local/global transactions per acquisition); --json writes the\n"
+           "nucalock-bench-report v6 document (- = stdout); --trace needs a\n"
+           "single --lock and writes Chrome trace_event JSON with link-\n"
+           "utilisation counter tracks. --memtrace needs a single --lock and\n"
+           "writes the raw access trace CSV (1M-event cap).\n"
+           "\n"
+           "--check-schema validates a report; --robustness renders a\n"
+           "nucacheck --campaign report; --diff compares two reports after\n"
+           "stripping the nondeterministic host and native_traffic objects;\n"
+           "--counters probes perf_event availability on this host (exit 0\n"
+           "when at least one event counts, 1 when none do).\n";
 }
 
 CliParse
@@ -324,6 +346,20 @@ parse_cli(const std::vector<std::string>& args)
         return fail("RH supports at most two nodes");
     if (opts.kv_read_pct + opts.kv_write_pct > 100)
         return fail("--kv-read-pct + --kv-write-pct must be <= 100");
+    // Outputs the chosen bench cannot produce are refused, not ignored:
+    // uncontested latency probes and the SPLASH-2 app models attach no
+    // probe sink, and only the microbenchmarks record a memory trace.
+    const bool probe_output =
+        opts.traffic || !opts.trace.empty() || !opts.json.empty();
+    if (opts.bench == CliBench::Uncontested &&
+        (probe_output || !opts.memtrace.empty()))
+        return fail("--bench=uncontested takes no --json, --traffic, "
+                    "--trace or --memtrace");
+    if (opts.bench == CliBench::App && opts.app != "kv" && probe_output)
+        return fail("--json, --traffic and --trace with --bench=app need "
+                    "--app=kv");
+    if (opts.bench == CliBench::App && !opts.memtrace.empty())
+        return fail("--memtrace is not supported with --bench=app");
     if (!opts.faults.empty()) {
         if (opts.bench != CliBench::New)
             return fail("--faults is only supported with --bench=new");

@@ -1,9 +1,8 @@
 /**
  * @file
- * Command-line options shared by the nucabench and nucaprof tools
- * (tools/nucabench.cpp, tools/nucaprof.cpp): one parser, kept in the
- * library so it is unit-testable. Fields marked "nucaprof only" have no
- * effect in nucabench (which rejects --trace and --check-schema).
+ * Command-line options of the nucabench tool (tools/nucabench.cpp): one
+ * parser, kept in the library so it is unit-testable. It also owns every
+ * rule about which flags combine, so the tool never ignores one.
  */
 #ifndef NUCALOCK_HARNESS_OPTIONS_HPP
 #define NUCALOCK_HARNESS_OPTIONS_HPP
@@ -52,31 +51,31 @@ struct CliOptions
     std::string faults;
     bool csv = false;
     /** Write a machine-readable report (obs/report.hpp) to this path;
-     *  "-" = stdout. Empty = off. */
+     *  "-" = stdout. Empty = off. Like --traffic and --trace, it attaches
+     *  a probe sink to every run. */
     std::string json;
-    /** nucaprof only: write a Chrome/Perfetto trace to this path (requires
-     *  a single --lock, not ALL). Empty = off. */
+    /** Write a Chrome/Perfetto trace to this path (requires a single
+     *  --lock, not ALL). Empty = off. */
     std::string trace;
-    /** nucaprof only: print the traffic-attribution tables (per-lock
+    /** Append the locality and traffic-attribution tables (per-lock
      *  per-phase local/global transactions, link contention). */
     bool traffic = false;
-    /** nucaprof only: record the memory-access trace to this CSV path
-     *  (requires a single --lock, not ALL). Empty = off. */
+    /** Record the memory-access trace to this CSV path (requires a single
+     *  --lock, not ALL). Empty = off. */
     std::string memtrace;
-    /** nucaprof only: validate an existing report file against the schema
-     *  and exit; no benchmark runs. */
+    /** Validate an existing report file against the schema and exit; no
+     *  benchmark runs. */
     std::string check_schema;
-    /** nucaprof only: render the "robustness" object of an existing report
-     *  (nucacheck --campaign output) and exit; no benchmark runs. */
+    /** Render the "robustness" object of an existing report (nucacheck
+     *  --campaign output) and exit; no benchmark runs. */
     std::string robustness;
-    /** nucaprof only: "A,B" — diff two report files over their
-     *  deterministic fields (the nondeterministic "host" and
-     *  "native_traffic" objects are stripped) and exit; no benchmark
-     *  runs. */
+    /** "A,B": diff two report files over their deterministic fields (the
+     *  nondeterministic "host" and "native_traffic" objects are stripped)
+     *  and exit; no benchmark runs. */
     std::string diff;
-    /** nucaprof only: probe hardware-counter availability (one line per
-     *  perf event: available / multiplexed / denied / unsupported) and
-     *  exit; no benchmark runs. */
+    /** Probe hardware-counter availability (one line per perf event:
+     *  available / multiplexed / denied / unsupported) and exit; no
+     *  benchmark runs. */
     bool counters = false;
     /**
      * --bench=app only: which application model to drive — "kv" (the

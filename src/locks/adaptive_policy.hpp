@@ -10,7 +10,7 @@
  * remote node, how busy was the global link) rather than reading probe
  * state, so installing or removing a ProbeSink cannot change lock
  * behaviour (the probe-independence invariant pinned by tests/obs_test.cpp
- * and nucaprof's tripwire).
+ * and nucabench's debug-build tripwire).
  *
  * Decision discipline:
  *  - Voluntary switches (Contention/NucaTraffic/Quiet) are evaluated only

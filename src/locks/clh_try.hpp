@@ -32,7 +32,6 @@
 
 #include "common/logging.hpp"
 #include "locks/context.hpp"
-#include "locks/instrumented.hpp" // detail::lock_clock_ns
 #include "locks/params.hpp"
 #include "locks/timed.hpp"
 #include "obs/probe.hpp"

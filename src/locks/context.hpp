@@ -11,6 +11,7 @@
 #ifndef NUCALOCK_LOCKS_CONTEXT_HPP
 #define NUCALOCK_LOCKS_CONTEXT_HPP
 
+#include <chrono>
 #include <concepts>
 #include <cstdint>
 
@@ -50,6 +51,27 @@ concept LockMachine = requires(M m, std::uint64_t v, int node, std::uint32_t n) 
     { m.topology() };
     { M::ref_from_token(v) };
 };
+
+namespace detail {
+
+/** Timestamp source for deadlines and probes: ctx.now() when the context
+ *  provides it (simulated ns), std::chrono::steady_clock ns otherwise
+ *  (native). */
+template <typename Ctx>
+std::uint64_t
+lock_clock_ns(Ctx& ctx)
+{
+    if constexpr (requires { ctx.now(); }) {
+        return static_cast<std::uint64_t>(ctx.now());
+    } else {
+        return static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now().time_since_epoch())
+                .count());
+    }
+}
+
+} // namespace detail
 
 } // namespace nucalock::locks
 

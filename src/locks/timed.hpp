@@ -19,7 +19,6 @@
 #include <limits>
 
 #include "locks/context.hpp"
-#include "locks/instrumented.hpp" // detail::lock_clock_ns
 #include "locks/params.hpp"
 
 namespace nucalock::locks {

@@ -518,7 +518,7 @@ NativeCounterSession::finish()
 }
 
 // ---------------------------------------------------------------------------
-// Capability triage (`nucaprof --counters`)
+// Capability triage (`nucabench --counters`)
 // ---------------------------------------------------------------------------
 
 int

@@ -11,7 +11,7 @@
  * NativeCounterSession implements native::PhaseHooks on top of any source
  * and folds the per-thread recordings into a NativeTrafficStats, which maps
  * onto the existing sim::TrafficAttribution shape via to_attribution() so
- * fold_traffic, `nucaprof --traffic`, and the fig7-style per-phase tables
+ * fold_traffic, `nucabench --traffic`, and the fig7-style per-phase tables
  * work unmodified on real hardware.
  *
  * Counters are a *proxy*, not a ground truth: LLC load misses stand in for
@@ -375,7 +375,7 @@ class NativeCounterSession final : public native::PhaseHooks
 };
 
 /**
- * Capability triage for `nucaprof --counters`: one line per event
+ * Capability triage for `nucabench --counters`: one line per event
  * (available / multiplexed / denied / unsupported with detail), prefixed
  * by the paranoid level. Returns 0 when any event counts, 1 otherwise —
  * informational, callers must not fail runs on it.

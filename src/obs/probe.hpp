@@ -12,7 +12,8 @@
  *    no RNG draws — so per-seed lock behaviour is bit-identical with
  *    probes on or off (pinned by tests/obs_test.cpp).
  *  - Both backends emit the same events: time is simulated ns under sim
- *    and steady-clock ns natively (same convention as InstrumentedLock).
+ *    and steady-clock ns natively (locks::detail::lock_clock_ns, the
+ *    clock timed acquisitions read their deadlines from).
  *
  * Contexts advertise a sink via `probe_sink()`; contexts without that
  * method (e.g. test doubles) simply never emit.
@@ -20,12 +21,12 @@
 #ifndef NUCALOCK_OBS_PROBE_HPP
 #define NUCALOCK_OBS_PROBE_HPP
 
-#include <chrono>
 #include <concepts>
 #include <cstdint>
 #include <mutex>
 #include <vector>
 
+#include "locks/context.hpp"
 #include "sim/traffic.hpp"
 
 namespace nucalock::obs {
@@ -143,21 +144,6 @@ class ProbeSink
 
 namespace detail {
 
-/** Event timestamp: ctx.now() under sim, steady clock natively. */
-template <typename Ctx>
-inline std::uint64_t
-probe_clock_ns(Ctx& ctx)
-{
-    if constexpr (requires { ctx.now(); }) {
-        return static_cast<std::uint64_t>(ctx.now());
-    } else {
-        return static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now().time_since_epoch())
-                .count());
-    }
-}
-
 /**
  * Update the context's traffic-attribution op-context from a probe site.
  * On contexts that expose set_op_phase() (the sim backend), the lock-event
@@ -229,8 +215,9 @@ probe(Ctx& ctx, LockEvent event, std::uint64_t lock_id, std::uint64_t a0 = 0,
     ProbeSink* sink = probe_sink_of(ctx);
     if (sink == nullptr) [[likely]]
         return;
-    sink->on_event(ProbeRecord{event, detail::probe_clock_ns(ctx), lock_id,
-                               ctx.thread_id(), ctx.cpu(), ctx.node(), a0, a1});
+    sink->on_event(ProbeRecord{event, locks::detail::lock_clock_ns(ctx),
+                               lock_id, ctx.thread_id(), ctx.cpu(),
+                               ctx.node(), a0, a1});
 }
 
 /**
@@ -251,7 +238,7 @@ probe_gate(Ctx& ctx, typename Ctx::Ref gate, std::uint64_t closed_token,
         const bool blocked = ctx.peek(gate) == closed_token;
         sink->on_event(ProbeRecord{blocked ? LockEvent::GateBlocked
                                            : LockEvent::GatePassed,
-                                   detail::probe_clock_ns(ctx), lock_id,
+                                   locks::detail::lock_clock_ns(ctx), lock_id,
                                    ctx.thread_id(), ctx.cpu(), ctx.node(), 0,
                                    0});
     }

@@ -12,7 +12,7 @@
  * soak runner's audited verdict (nucacheck --campaign): per-cell recovery
  * results (preset x lock x shape x seed, with abandonment/reclaim counters,
  * overshoot bounds and replay traces for failures) plus per-lock summary
- * rows. Reports without the object remain valid documents; nucaprof
+ * rows. Reports without the object remain valid documents; nucabench
  * renders it with --robustness.
  *
  * v4 adds an optional per-run "adaptive" object — ADAPTIVE's gear
@@ -36,14 +36,14 @@
  * availability verdicts, multiplex detection, the proxy-mapped local/
  * global per-acquisition rates, and — when perf is denied or absent — a
  * machine-readable unavailable marker instead of counts. Like "host" it is
- * inherently nondeterministic, so `nucaprof --diff` strips it.
+ * inherently nondeterministic, so `nucabench --diff` strips it.
  *
- * Shared by tools/nucaprof (full metrics) and tools/nucabench --json
- * (results only). The schema is documented in docs/observability.md; bump
+ * Written by tools/nucabench --json (always with metrics), nucacheck
+ * --campaign and the bench binaries (metrics null). The schema is documented in docs/observability.md; bump
  * kReportSchemaVersion on any breaking change to the emitted shape.
  *
  * write_report() is the schema's only definition. validate_report() (what
- * `nucaprof --check-schema` and CI run) derives the shape from it: it
+ * `nucabench --check-schema` and CI run) derives the shape from it: it
  * writes an exemplar report once — synthetic inputs with every optional
  * object present and one element in every array — and requires every key
  * of every exemplar object, with the same JSON type, in the document
@@ -78,7 +78,7 @@ inline constexpr int kReportSchemaVersion = 6;
 /** Benchmark configuration echoed into the report. */
 struct ReportConfig
 {
-    std::string tool;  ///< "nucaprof" or "nucabench"
+    std::string tool;  ///< "nucabench", "nucacheck" or a bench binary
     std::string bench; ///< "new", "traditional", "uncontested"
     int nodes = 0;
     int cpus_per_node = 0;
@@ -224,7 +224,7 @@ bool validate_report_text(std::string_view text, std::string* error);
 /**
  * Remove, at every depth, the objects whose values differ between hosts
  * and repetitions ("host" and "native_traffic"), leaving the part of a
- * report that is a deterministic function of the run. `nucaprof --diff`
+ * report that is a deterministic function of the run. `nucabench --diff`
  * compares reports after this.
  */
 void strip_nondeterministic(JsonValue& document);

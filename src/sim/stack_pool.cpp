@@ -7,6 +7,18 @@
 #include <sys/mman.h>
 #endif
 
+#if defined(__SANITIZE_ADDRESS__)
+#define NUCALOCK_ASAN_STACKS 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define NUCALOCK_ASAN_STACKS 1
+#endif
+#endif
+
+#ifdef NUCALOCK_ASAN_STACKS
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace nucalock::sim {
 
 namespace {
@@ -143,6 +155,12 @@ StackPool::release(char* stack, std::size_t bytes) noexcept
 {
     if (stack == nullptr)
         return;
+#ifdef NUCALOCK_ASAN_STACKS
+    // A fiber destroyed mid-function (a thread a fault plan killed) never
+    // unwinds, so AddressSanitizer still holds its frames' redzones
+    // poisoned; clear them so the stack's next fiber does not trip on them.
+    ASAN_UNPOISON_MEMORY_REGION(stack, bytes);
+#endif
     std::vector<Block>& free = cache().free;
     // Which origin? A stack inside any slab's carve region came from it.
     bool from_slab = false;

@@ -42,7 +42,6 @@
 #include "common/logging.hpp"
 #include "locks/any_lock.hpp"
 #include "locks/context.hpp"
-#include "locks/instrumented.hpp" // detail::lock_clock_ns
 #include "structs/stats.hpp"
 
 namespace nucalock::structs {

@@ -14,11 +14,14 @@
 #include <vector>
 
 #include "harness/newbench.hpp"
+#include "locks/hbo_gt.hpp"
+#include "native/machine.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/probe.hpp"
 #include "obs/report.hpp"
 #include "obs/timeline.hpp"
+#include "sim/faults.hpp"
 
 namespace {
 
@@ -339,7 +342,7 @@ TEST(Report, WriteThenValidate)
     reg.finalize();
 
     ReportConfig config;
-    config.tool = "nucaprof";
+    config.tool = "nucabench";
     config.bench = "new";
     config.nodes = 2;
     config.cpus_per_node = 4;
@@ -383,7 +386,7 @@ TEST(Report, WriteThenValidate)
 TEST(Report, ValidationCatchesCorruption)
 {
     ReportConfig config;
-    config.tool = "nucaprof";
+    config.tool = "nucabench";
     config.bench = "new";
     std::ostringstream oss;
     write_report(oss, config, {ReportRun{"TATAS", BenchResult{}, nullptr}});
@@ -409,7 +412,7 @@ TEST(Report, ValidationCatchesCorruption)
 TEST(Report, VersionMismatchNamesBothVersions)
 {
     ReportConfig config;
-    config.tool = "nucaprof";
+    config.tool = "nucabench";
     config.bench = "new";
     std::ostringstream oss;
     write_report(oss, config, {ReportRun{"TATAS", BenchResult{}, nullptr}});
@@ -506,7 +509,7 @@ struct FullReportInputs
     write(bool nondeterministic = true) const
     {
         ReportConfig config;
-        config.tool = "nucaprof";
+        config.tool = "nucabench";
         config.bench = "new";
         ReportRun run{"ADAPTIVE", result, &registry};
         run.host.valid = nondeterministic;
@@ -742,6 +745,48 @@ TEST(ProbeNeutrality, SimRunIsBitIdenticalWithProbesOn)
     }
 }
 
+/**
+ * The same guarantee under fault injection: a profiled faulted run (what
+ * `nucabench --faults --traffic/--json` attaches) must replay the bare
+ * run exactly, recovery timeouts and abandonment included.
+ */
+TEST(ProbeNeutrality, FaultedRunIsBitIdenticalWithProbesOn)
+{
+    for (const char* preset : {"death", "chaos", "holderdeath"}) {
+        for (LockKind kind :
+             {LockKind::Mcs, LockKind::HboGtSd, LockKind::Reactive,
+              LockKind::Cohort, LockKind::ClhTry, LockKind::Adaptive}) {
+            NewBenchConfig config;
+            config.topology = Topology::symmetric(2, 7);
+            config.threads = 12;
+            config.iterations_per_thread = 20;
+            config.seed = 1;
+            config.fault_plan = *sim::FaultPlan::parse(preset, 1, 12);
+            const BenchResult bare = run_newbench(kind, config);
+
+            MetricsRegistry reg;
+            config.probe = &reg;
+            const BenchResult observed = run_newbench(kind, config);
+
+            const std::string what =
+                std::string(locks::lock_name(kind)) + " under " + preset;
+            EXPECT_EQ(bare.acquisition_order_hash,
+                      observed.acquisition_order_hash)
+                << what;
+            EXPECT_EQ(bare.total_time, observed.total_time) << what;
+            EXPECT_EQ(bare.traffic.local_tx, observed.traffic.local_tx)
+                << what;
+            EXPECT_EQ(bare.traffic.global_tx, observed.traffic.global_tx)
+                << what;
+            EXPECT_EQ(bare.faults_injected, observed.faults_injected) << what;
+            EXPECT_EQ(bare.mutex_violations, observed.mutex_violations)
+                << what;
+            EXPECT_EQ(bare.lock_timeouts, observed.lock_timeouts) << what;
+            EXPECT_GT(reg.events_seen(), 0u) << what;
+        }
+    }
+}
+
 TEST(ProbeNeutrality, HashIsSeedDeterministicAndSeedSensitive)
 {
     const BenchResult a = run_newbench(LockKind::Mcs, small_config(3));
@@ -752,6 +797,34 @@ TEST(ProbeNeutrality, HashIsSeedDeterministicAndSeedSensitive)
 }
 
 // ------------------------------------------------- end-to-end metrics ---
+
+/** On real threads the registry sits behind ThreadSafeSink: every
+ *  acquisition and both of its samples must land, none torn or lost. */
+TEST(EndToEnd, ThreadSafeSinkCountsOnRealThreads)
+{
+    native::NativeMachine m(Topology::symmetric(2, 2));
+    MetricsRegistry reg;
+    ThreadSafeSink sink(reg);
+    m.install_probe(&sink);
+    locks::HboGtLock<native::NativeContext> lock(m);
+    const native::NativeRef counter = m.alloc(0);
+    m.run_threads(4, Placement::RoundRobinNodes,
+                  [&](native::NativeContext& ctx, int) {
+                      for (int i = 0; i < 500; ++i) {
+                          lock.acquire(ctx);
+                          ctx.store(counter, ctx.load(counter) + 1);
+                          lock.release(ctx);
+                      }
+                  });
+    native::NativeContext ctx = m.make_context(0, 0);
+    EXPECT_EQ(ctx.load(counter), 2000u);
+    reg.finalize();
+    const LockMetrics* lm = reg.primary();
+    ASSERT_NE(lm, nullptr);
+    EXPECT_EQ(lm->acquisitions, 2000u);
+    EXPECT_EQ(lm->wait_ns.count(), 2000u);
+    EXPECT_EQ(lm->hold_ns.count(), 2000u);
+}
 
 TEST(EndToEnd, RegistryMatchesBenchResult)
 {

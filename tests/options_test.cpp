@@ -4,6 +4,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <set>
+#include <sstream>
+#include <string>
+
 #include "harness/options.hpp"
 #include "locks/any_lock.hpp"
 
@@ -220,6 +225,57 @@ TEST(Options, MemtraceRequiresSingleLockAndPath)
     EXPECT_FALSE(parse_cli({"--memtrace=mem.csv"}).options.has_value());
     EXPECT_FALSE(
         parse_cli({"--lock=ALL", "--memtrace=mem.csv"}).options.has_value());
+}
+
+// parse_cli owns every rule about which flags combine: the tool never
+// receives an output its bench cannot produce.
+
+TEST(Options, UncontestedRejectsProbeAndTraceOutputs)
+{
+    EXPECT_TRUE(parse_cli({"--bench=uncontested", "--lock=MCS", "--csv"})
+                    .options.has_value());
+    for (const char* flag :
+         {"--json=x.json", "--traffic", "--trace=t.json", "--memtrace=m.csv"})
+        EXPECT_FALSE(parse_cli({"--bench=uncontested", "--lock=MCS", flag})
+                         .options.has_value())
+            << flag;
+}
+
+TEST(Options, SplashAppRejectsProbeOutputs)
+{
+    for (const char* flag : {"--json=x.json", "--traffic", "--trace=t.json"})
+        EXPECT_FALSE(parse_cli({"--bench=app", "--app=Raytrace",
+                                "--lock=MCS", flag})
+                         .options.has_value())
+            << flag;
+    // The KV service profiles through the same probes.
+    EXPECT_TRUE(parse_cli({"--bench=app", "--app=kv", "--lock=MCS",
+                           "--json=x.json", "--traffic", "--trace=t.json"})
+                    .options.has_value());
+}
+
+TEST(Options, AppRejectsMemtrace)
+{
+    EXPECT_FALSE(parse_cli({"--bench=app", "--lock=MCS", "--memtrace=m.csv"})
+                     .options.has_value());
+    EXPECT_TRUE(parse_cli({"--bench=traditional", "--lock=MCS",
+                           "--memtrace=m.csv"})
+                    .options.has_value());
+}
+
+TEST(Options, UsageListsEveryLock)
+{
+    // The "locks:" paragraph, up to the blank line that ends it.
+    const std::string usage = cli_usage();
+    const std::size_t begin = usage.find("locks:");
+    ASSERT_NE(begin, std::string::npos);
+    std::istringstream words(
+        usage.substr(begin, usage.find("\n\n", begin) - begin));
+    const std::set<std::string> listed{std::istream_iterator<std::string>(words),
+                                       std::istream_iterator<std::string>()};
+    for (nucalock::locks::LockKind kind : nucalock::locks::all_lock_kinds())
+        EXPECT_TRUE(listed.count(nucalock::locks::lock_name(kind)))
+            << nucalock::locks::lock_name(kind);
 }
 
 TEST(Options, ParseShapeAcceptsNxC)

@@ -9,7 +9,7 @@
  * Everything here runs on FakeCounterSource — the perf_event backend needs
  * a PMU and a permissive perf_event_paranoid, neither of which CI
  * guarantees; its capability triage is exercised (non-fatally) by
- * `nucaprof --counters` in the perf-smoke job.
+ * `nucabench --counters` in the perf-smoke job.
  */
 #include <gtest/gtest.h>
 

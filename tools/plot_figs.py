@@ -2,8 +2,8 @@
 """Turn nucalock-bench-report JSON documents into the paper's figures.
 
 Reads one or more versioned reports (schema ``nucalock-bench-report``,
-written by ``nucabench --json``, ``nucaprof --json`` or any bench binary
-run with ``NUCALOCK_BENCH_JSON``) and renders:
+written by ``nucabench --json`` or any bench binary run with
+``NUCALOCK_BENCH_JSON``) and renders:
 
   fig5   ns/acquire per lock (bar chart; the new-benchmark headline)
   fig7   coherence traffic per acquisition, local vs global (grouped
