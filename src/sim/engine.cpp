@@ -238,8 +238,12 @@ SimMachine::add_thread(int cpu, std::function<void(SimContext&)> body)
     }
 
     SimThread* raw = thr.get();
-    thr->fiber = std::make_unique<Fiber>([raw] { raw->body(raw->ctx); },
-                                         cfg_.fiber_stack_bytes);
+    thr->fiber = std::make_unique<Fiber>(
+        [this, raw] {
+            note_handover(); // first entry may be a direct handover
+            raw->body(raw->ctx);
+        },
+        cfg_.fiber_stack_bytes);
     ThreadHot hot;
     hot.fiber = thr->fiber.get();
     hot_.push_back(hot);
@@ -256,13 +260,6 @@ SimMachine::add_threads(int count, Placement policy,
         add_thread(cpus[static_cast<std::size_t>(i)],
                    [body, i](SimContext& ctx) { body(ctx, i); });
     }
-}
-
-SimMachine::SimThread&
-SimMachine::current()
-{
-    NUCA_ASSERT(current_tid_ >= 0, "no current thread");
-    return *threads_[static_cast<std::size_t>(current_tid_)];
 }
 
 SimTime
@@ -311,16 +308,54 @@ SimMachine::block_until(SimContext& ctx, SimTime t)
                    : t;
     hot.state = ThreadState::Runnable;
     ready_.push_or_update(ctx.tid_, hot.wake);
-    // Inline continuation: if this thread is still the earliest runnable,
-    // run_timed() would resume it next under the same (wake, tid) rule, so
-    // take that scheduling event here and return straight into the lock
-    // code instead of a yield/resume round trip. Not with faults installed:
-    // sweep_deaths() must run between events. An event that fails its
-    // checks yields instead, so run_timed() diagnoses it on the host stack.
-    if (injector_ == nullptr && ready_.top_tid() == ctx.tid_ &&
-        begin_event(hot.wake))
+    dispatch(ctx.tid_);
+}
+
+void
+SimMachine::dispatch(int tid)
+{
+    ThreadHot& self = hot_[static_cast<std::size_t>(tid)];
+    // The pick run_timed() would make next, taken here instead of after a
+    // yield/resume round trip through the host stack. Not with faults
+    // installed: sweep_deaths() must run between events. An event that
+    // fails its checks yields, so run_timed() diagnoses it on the host
+    // stack; so does an empty queue (deadlock).
+    if (injector_ == nullptr && !ready_.empty()) {
+        const int next_tid = ready_.top_tid();
+        if (next_tid == tid) {
+            // Inline continuation: still the earliest runnable.
+            if (begin_event(self.wake))
+                return;
+        } else {
+            ThreadHot& next = hot_[static_cast<std::size_t>(next_tid)];
+            // Start on the likely pick after this one, as run_timed()
+            // does: timer wakes never pass through wake_watchers, so this
+            // is their only prefetch distance. The pick itself was
+            // prefetched as an earlier runner-up or when it was woken.
+            if (const int follow = ready_.runner_up_tid(); follow >= 0)
+                prefetch_resume_state(follow);
+            if (begin_event(next.wake)) {
+                // Direct handover: one switch into the next thread's
+                // fiber, which inherits this fiber's resumer.
+                current_tid_ = next_tid;
+                handed_from_ = tid;
+                self.fiber->switch_to(*next.fiber);
+                note_handover();
+                return;
+            }
+        }
+    }
+    self.fiber->yield();
+}
+
+void
+SimMachine::note_handover()
+{
+    if (handed_from_ < 0)
         return;
-    hot.fiber->yield();
+    ThreadHot& from = hot_[static_cast<std::size_t>(handed_from_)];
+    from.resume_sp = from.fiber->suspended_sp();
+    handed_from_ = -1;
 }
 
 void
@@ -333,9 +368,12 @@ SimMachine::wait_on(SimContext& ctx, MemRef ref, std::uint64_t v)
     hot.state = ThreadState::Waiting;
     hot.wake = kTimeInfinity;
     hot.waiting_line = ref.line;
-    if (scheduler_ == nullptr)
-        ready_.remove(ctx.tid_);
-    hot.fiber->yield();
+    if (scheduler_ != nullptr) {
+        hot.fiber->yield();
+        return;
+    }
+    ready_.remove(ctx.tid_);
+    dispatch(ctx.tid_);
 }
 
 void
@@ -575,15 +613,20 @@ SimMachine::run_timed()
         }
         current_tid_ = next_tid;
         next.fiber->resume();
+        // resume() returns when *some* fiber yields or finishes: after
+        // direct handovers (dispatch) that is whichever thread is current
+        // now, not necessarily the one resumed above.
+        const int last_tid = current_tid_;
         current_tid_ = -1;
+        ThreadHot& last = hot_[static_cast<std::size_t>(last_tid)];
         // Freshly yielded: remember where, so the next wake of this thread
         // can prefetch its stack without first missing on the Fiber object.
-        next.resume_sp = next.fiber->suspended_sp();
+        last.resume_sp = last.fiber->suspended_sp();
 
-        if (next.fiber->finished()) {
-            next.state = ThreadState::Done;
-            threads_[static_cast<std::size_t>(next_tid)]->finish = now_;
-            ready_.remove(next_tid);
+        if (last.fiber->finished()) {
+            last.state = ThreadState::Done;
+            threads_[static_cast<std::size_t>(last_tid)]->finish = now_;
+            ready_.remove(last_tid);
             ++done;
         }
     }

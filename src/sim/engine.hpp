@@ -264,9 +264,10 @@ class SimMachine
 
     /**
      * Scheduling events: one per time a thread is picked to run, counted
-     * whether the pick resumes a parked fiber or lets the running thread
-     * continue inline (see block_until). A property of the simulated run,
-     * not of how many host context switches it took.
+     * whether the pick resumes a parked fiber from the scheduler loop,
+     * hands over to it directly from the parking fiber, or lets the
+     * running thread continue inline (see dispatch). A property of the
+     * simulated run, not of how many host context switches it took.
      */
     std::uint64_t fiber_switches() const { return fiber_switches_; }
 
@@ -339,7 +340,8 @@ class SimMachine
         SimTime wake = 0;
         Fiber* fiber = nullptr; // owned by the cold SimThread
         /** Where the fiber's stack is suspended (timed mode; mirrors
-         *  Fiber::suspended_sp after every yield). Lets the resume-path
+         *  Fiber::suspended_sp after every switch out, recorded by
+         *  whichever side runs next). Lets the resume-path
          *  prefetches below read this record only, instead of chasing a
          *  dependent load through the cold Fiber object first. */
         const void* resume_sp = nullptr;
@@ -418,24 +420,37 @@ class SimMachine
     /** The controlled scheduling loop (Scheduler installed). */
     void run_controlled();
 
-    /**
-     * Block the current thread until simulated time @p t. In timed mode
-     * without a fault injector, a thread that is still the earliest
-     * runnable after re-keying continues inline: the scheduling event is
-     * taken here and no fiber switch happens.
-     */
+    /** Block the current thread until simulated time @p t (re-key it in
+     *  the ready queue, then dispatch). */
     void block_until(SimContext& ctx, SimTime t);
 
     /**
      * Start a timed-mode scheduling event for a thread woken at @p wake:
      * run the per-event checks (time order, progress watchdog,
      * max_sim_time), then advance the clock and count the event. Shared by
-     * run_timed() and block_until()'s inline continuation. Returns false,
-     * changing nothing, when the watchdog or time limit would fire; only
-     * run_timed() then diagnoses it, because the diagnosis exits and must
-     * not run on a fiber stack (the stack pool is unmapped at exit).
+     * run_timed() and dispatch(). Returns false, changing nothing, when
+     * the watchdog or time limit would fire; only run_timed() then
+     * diagnoses it, because the diagnosis exits and must not run on a
+     * fiber stack (the stack pool is unmapped at exit).
      */
     bool begin_event(SimTime wake);
+
+    /**
+     * Timed mode: the current thread @p tid has just parked (re-keyed or
+     * left the ready queue); take the next scheduling event from its fiber
+     * under run_timed()'s (wake, tid) rule. If the ready queue's top is
+     * the caller itself, return into it (inline continuation); if it is
+     * another thread, switch straight into that thread's fiber (direct
+     * handover). Otherwise (empty queue, or an event that fails its
+     * checks) yield, so run_timed() diagnoses on the host stack. With a
+     * fault injector installed it always yields: sweep_deaths() must run
+     * between events.
+     */
+    void dispatch(int tid);
+
+    /** Record the resume_sp of the fiber that just handed over to the
+     *  running one (a switch-out run_timed() did not see). */
+    void note_handover();
 
     /** Block the current thread on a watcher for @p ref (value @p v). */
     void wait_on(SimContext& ctx, MemRef ref, std::uint64_t v);
@@ -459,8 +474,6 @@ class SimMachine
      */
     [[noreturn]] void panic_with_diagnosis(const std::string& what) const;
 
-    SimThread& current();
-
     Topology topo_;
     LatencyModel lat_;
     SimConfig cfg_;
@@ -478,6 +491,9 @@ class SimMachine
     std::vector<bool> cpu_used_;
     SimTime now_ = 0;
     int current_tid_ = -1;
+    /** Thread whose fiber last switched out by direct handover and whose
+     *  resume_sp is not yet recorded (-1: none). */
+    int handed_from_ = -1;
     bool running_ = false;
     bool ran_ = false;
     std::uint64_t fiber_switches_ = 0;

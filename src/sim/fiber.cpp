@@ -135,7 +135,7 @@ Fiber::Fiber(Entry entry, std::size_t stack_bytes)
         NUCA_PANIC("getcontext failed");
     context_.uc_stack.ss_sp = stack_;
     context_.uc_stack.ss_size = stack_bytes;
-    context_.uc_link = &caller_;
+    context_.uc_link = nullptr; // run() leaves through resumer_ instead
 
     // makecontext only passes ints, so split `this` across two of them.
     const auto self = reinterpret_cast<std::uintptr_t>(this);
@@ -174,16 +174,20 @@ Fiber::run()
 {
     entry_();
     finished_ = true;
+    inside_ = false;
 #ifdef NUCALOCK_TSAN_FIBERS
     // The switch below bypasses yield(), so announce it here.
     __tsan_switch_to_fiber(tsan_caller_, 0);
 #endif
-#ifdef NUCALOCK_FIBER_FAST_SWITCH
     // Final switch back to the resumer; the fiber is never entered again
-    // (resume() asserts !finished_), so the saved sp is write-only.
+    // (resume() and switch_to() assert !finished_), so the saved context
+    // is write-only.
+#ifdef NUCALOCK_FIBER_FAST_SWITCH
     nucalock_fiber_swap(&switch_sp_, caller_sp_);
+#else
+    setcontext(resumer_);
+    NUCA_PANIC("setcontext back to the resumer failed");
 #endif
-    // ucontext path: falling off the end returns to uc_link (== caller_).
 }
 
 void
@@ -191,7 +195,6 @@ Fiber::resume()
 {
     NUCA_ASSERT(!finished_, "resume of finished fiber");
     NUCA_ASSERT(!inside_, "recursive resume");
-    started_ = true;
     inside_ = true;
 #ifdef NUCALOCK_TSAN_FIBERS
     tsan_caller_ = __tsan_get_current_fiber();
@@ -200,24 +203,50 @@ Fiber::resume()
 #ifdef NUCALOCK_FIBER_FAST_SWITCH
     nucalock_fiber_swap(&caller_sp_, switch_sp_);
 #else
+    resumer_ = &caller_;
     if (swapcontext(&caller_, &context_) != 0)
         NUCA_PANIC("swapcontext into fiber failed");
 #endif
-    inside_ = false;
+    // Whichever fiber yielded back here cleared its own inside_.
 }
 
 void
 Fiber::yield()
 {
     NUCA_ASSERT(inside_, "yield outside of fiber");
+    inside_ = false;
 #ifdef NUCALOCK_TSAN_FIBERS
     __tsan_switch_to_fiber(tsan_caller_, 0);
 #endif
 #ifdef NUCALOCK_FIBER_FAST_SWITCH
     nucalock_fiber_swap(&switch_sp_, caller_sp_);
 #else
-    if (swapcontext(&context_, &caller_) != 0)
+    if (swapcontext(&context_, resumer_) != 0)
         NUCA_PANIC("swapcontext out of fiber failed");
+#endif
+}
+
+void
+Fiber::switch_to(Fiber& next)
+{
+    NUCA_ASSERT(inside_, "switch_to outside of fiber");
+    NUCA_ASSERT(!next.finished_, "switch_to a finished fiber");
+    NUCA_ASSERT(!next.inside_, "switch_to a running fiber");
+    inside_ = false;
+    next.inside_ = true;
+    // Hand over the resumer: next's yield or finish returns to whoever
+    // resumed this fiber, exactly as if it had been resumed from there.
+#ifdef NUCALOCK_TSAN_FIBERS
+    next.tsan_caller_ = tsan_caller_;
+    __tsan_switch_to_fiber(next.tsan_fiber_, 0);
+#endif
+#ifdef NUCALOCK_FIBER_FAST_SWITCH
+    next.caller_sp_ = caller_sp_;
+    nucalock_fiber_swap(&switch_sp_, next.switch_sp_);
+#else
+    next.resumer_ = resumer_;
+    if (swapcontext(&context_, &next.context_) != 0)
+        NUCA_PANIC("swapcontext between fibers failed");
 #endif
 }
 

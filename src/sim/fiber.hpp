@@ -2,9 +2,12 @@
  * @file
  * Cooperative fibers for simulated threads.
  *
- * Each simulated thread runs its program on a fiber; blocking simulator
- * operations (memory accesses, delays) switch back to the scheduler, so the
- * same straight-line lock code runs unmodified under simulation.
+ * Each simulated thread runs its program on a fiber, so the same
+ * straight-line lock code runs unmodified under simulation. A blocking
+ * simulator operation (memory access, delay) parks the fiber: it yields
+ * back to the scheduler loop that resumed it, or hands the host thread
+ * straight to the next simulated thread's fiber with switch_to(), which
+ * passes the resumer along so a later yield still lands in the scheduler.
  *
  * On x86-64 Linux the switch is ~20 instructions of hand-rolled register
  * save/restore (callee-saved GPRs + stack pointer). glibc's swapcontext
@@ -54,13 +57,23 @@ class Fiber
     ~Fiber();
 
     /**
-     * Switch into the fiber; returns when the fiber calls yield() or its
-     * entry function returns. Must not be called on a finished fiber.
+     * Switch into the fiber; returns when the fiber, or a fiber it handed
+     * over to with switch_to() (transitively), calls yield() or finishes
+     * its entry function. Must not be called on a finished fiber.
      */
     void resume();
 
     /** Called from inside the fiber: switch back to the resumer. */
     void yield();
+
+    /**
+     * Called from inside this fiber: suspend it and run @p next instead,
+     * without returning to the resumer first. @p next inherits this
+     * fiber's resumer, so its yield() or finish lands in the original
+     * resume() caller. A later resume() or switch_to() of this fiber
+     * continues after the call. @p next must be suspended and unfinished.
+     */
+    void switch_to(Fiber& next);
 
     /** True once the entry function has returned. */
     bool finished() const { return finished_; }
@@ -68,7 +81,7 @@ class Fiber
     /**
      * Host stack pointer the fiber is suspended at (fast-switch builds;
      * nullptr elsewhere or while the fiber is running). The engine caches
-     * this in its hot per-thread record right after each yield so that its
+     * this in its hot per-thread record right after each switch out so its
      * resume-path prefetches read one flat array instead of chasing
      * ThreadHot -> Fiber -> stack through two dependent cold misses.
      */
@@ -99,11 +112,11 @@ class Fiber
     void* caller_sp_ = nullptr; // resumer's stack pointer while inside
 #else
     ucontext_t context_{};
-    ucontext_t caller_{};
+    ucontext_t caller_{}; // resume()'s saved context
+    ucontext_t* resumer_ = nullptr; // where yield/finish return to
 #endif
-    bool started_ = false;
     bool finished_ = false;
-    bool inside_ = false;
+    bool inside_ = false; // set by whoever switches in, cleared on the way out
     void* tsan_fiber_ = nullptr;  // TSan's view of this fiber (TSan only)
     void* tsan_caller_ = nullptr; // TSan fiber to return to on yield
 };

@@ -249,6 +249,18 @@ TEST(Engine, FiberSwitchesCounted)
     // The thread is alone, so both delays continue inline; an inlined pick
     // counts like a resumed one.
     EXPECT_EQ(m.fiber_switches(), 3u);
+
+    // Two threads in lockstep: every delay after the first resume hands
+    // over directly to the other thread's fiber, and each such handover
+    // counts like a resume from the scheduler loop.
+    SimMachine pair(Topology::symmetric(1, 2));
+    for (int cpu = 0; cpu < 2; ++cpu)
+        pair.add_thread(cpu, [](SimContext& ctx) {
+            ctx.delay_ns(1);
+            ctx.delay_ns(1);
+        });
+    pair.run();
+    EXPECT_EQ(pair.fiber_switches(), 6u); // 2 first picks + 4 delays
 }
 
 TEST(Engine, EqualWakeYieldsToLowerTid)
@@ -348,6 +360,59 @@ TEST(EngineDeathTest, WatchdogFiresWhileRunnerContinuesInline)
     });
     EXPECT_EXIT(m.run(), ::testing::ExitedWithCode(kDiagnosisExitCode),
                 "progress watchdog expired.* at t=10100 ns");
+}
+
+TEST(EngineDeathTest, WatchdogFiresWhenNextThreadWouldSwitchDirectly)
+{
+    // Thread 0 waits for a lock word nobody releases. Threads 1 and 2 tick
+    // on private work, offset by 50 ns, so every park hands over directly
+    // to the other ticker. The first event past the window is thread 2's
+    // wake at t=10050, reached while thread 1 parks: the check fails on
+    // the direct-handover path, for a thread other than the parker, and
+    // must still be diagnosed (on the host stack) with the verdict code.
+    InvariantChecker checker(InvariantConfig{.watchdog_window_ns = 10'000});
+    SimConfig cfg;
+    cfg.max_sim_time = 1'000'000;
+    SimMachine m(Topology::symmetric(1, 3), LatencyModel::wildfire(), cfg);
+    m.install_invariants(&checker);
+    const MemRef lock = m.alloc(1, 0);
+    m.add_thread(0, [&](SimContext& ctx) {
+        ctx.cs_wait_begin();
+        ctx.spin_while_equal(lock, 1);
+    });
+    m.add_thread(1, [](SimContext& ctx) {
+        while (true)
+            ctx.delay_ns(100);
+    });
+    m.add_thread(2, [](SimContext& ctx) {
+        ctx.delay_ns(50);
+        while (true)
+            ctx.delay_ns(100);
+    });
+    EXPECT_EXIT(m.run(), ::testing::ExitedWithCode(kDiagnosisExitCode),
+                "progress watchdog expired.* at t=10050 ns");
+}
+
+TEST(EngineDeathTest, DeadlockAfterDirectSwitchIsDiagnosed)
+{
+    // Both threads end up parked on a line nobody writes. Thread 1 is
+    // entered by a direct handover from thread 0 and is the last to park,
+    // with an empty ready queue: its fiber yields back into run_timed()'s
+    // resume of thread 0, which must diagnose the deadlock.
+    SimMachine m(Topology::symmetric(1, 2));
+    const MemRef flag = m.alloc(0, 0);
+    m.add_thread(0, [&](SimContext& ctx) {
+        ctx.delay_ns(10);
+        ctx.spin_while_equal(flag, 0);
+    });
+    m.add_thread(1, [&](SimContext& ctx) {
+        ctx.delay_ns(20);
+        ctx.spin_while_equal(flag, 0);
+    });
+    EXPECT_EXIT(m.run(), ::testing::ExitedWithCode(kDiagnosisExitCode),
+                "deadlock: no runnable thread at t=[0-9]+ ns\n"
+                "  t0 cpu=0 waiting on line 0\n"
+                "  t1 cpu=1 waiting on line 0");
 }
 
 TEST(EngineDeathTest, DiagnosedFailureUsesDistinctExitCode)

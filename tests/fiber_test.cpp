@@ -1,10 +1,12 @@
 /**
  * @file
- * Unit tests for the ucontext fiber layer.
+ * Unit tests for the fiber layer: resume/yield, direct fiber-to-fiber
+ * handover (switch_to), and misuse diagnostics.
  */
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "sim/fiber.hpp"
@@ -101,6 +103,94 @@ TEST(Fiber, DeepStackUsage)
     Fiber f([&] { result = burn(100); });
     f.resume();
     EXPECT_EQ(result, 100);
+}
+
+TEST(Fiber, SwitchToChainsAndYieldReturnsToResumer)
+{
+    // resume(A) -> A switch_to B -> B switch_to C -> C yields: the yield
+    // lands in the resume(A) caller, because each switch_to hands its
+    // resumer on. A later resume(A) continues right after A's switch_to.
+    std::vector<std::string> order;
+    Fiber* a = nullptr;
+    Fiber* b = nullptr;
+    Fiber* c = nullptr;
+    Fiber fa([&] {
+        order.push_back("A");
+        a->switch_to(*b);
+        order.push_back("A after switch_to");
+    });
+    Fiber fb([&] {
+        order.push_back("B");
+        b->switch_to(*c);
+        order.push_back("B after switch_to");
+    });
+    Fiber fc([&] {
+        order.push_back("C");
+        c->yield();
+        order.push_back("C after yield");
+    });
+    a = &fa;
+    b = &fb;
+    c = &fc;
+
+    fa.resume();
+    order.push_back("host: resume(A) returned");
+    fa.resume();
+    order.push_back("host: A finished");
+    EXPECT_TRUE(fa.finished());
+    EXPECT_FALSE(fb.finished());
+    EXPECT_FALSE(fc.finished());
+    // The suspended fibers resume where they switched out or yielded.
+    fb.resume();
+    fc.resume();
+    EXPECT_TRUE(fb.finished());
+    EXPECT_TRUE(fc.finished());
+    EXPECT_EQ(order, (std::vector<std::string>{
+                         "A", "B", "C", "host: resume(A) returned",
+                         "A after switch_to", "host: A finished",
+                         "B after switch_to", "C after yield"}));
+}
+
+TEST(Fiber, FiberEnteredBySwitchToFinishesIntoResumer)
+{
+    // B is never resumed: it is entered by A's switch_to, and its entry
+    // function returning must land in the host's resume(A) call.
+    std::vector<int> order;
+    Fiber* a = nullptr;
+    Fiber* b = nullptr;
+    Fiber fa([&] {
+        order.push_back(1);
+        a->switch_to(*b);
+        order.push_back(4);
+    });
+    Fiber fb([&] { order.push_back(2); });
+    a = &fa;
+    b = &fb;
+
+    fa.resume();
+    order.push_back(3);
+    EXPECT_TRUE(fb.finished());
+    EXPECT_FALSE(fa.finished());
+    fa.resume();
+    EXPECT_TRUE(fa.finished());
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+}
+
+TEST(FiberDeathTest, SwitchToFinishedFiberPanics)
+{
+    Fiber done([] {});
+    done.resume();
+    Fiber* self = nullptr;
+    Fiber f([&] { self->switch_to(done); });
+    self = &f;
+    EXPECT_DEATH(f.resume(), "switch_to a finished fiber");
+}
+
+TEST(FiberDeathTest, SwitchToFromOutsideFiberPanics)
+{
+    Fiber a([] {});
+    Fiber b([] {});
+    EXPECT_DEATH(a.switch_to(b), "switch_to outside of fiber");
 }
 
 TEST(FiberDeathTest, ResumeAfterFinishPanics)
