@@ -28,8 +28,10 @@ using namespace nucalock;
 using namespace nucalock::locks;
 using namespace nucalock::sim;
 
+/** Profile @p Lock into @p table; false when the registry saw no lock
+ *  (the probe sites are compiled out under -DNUCALOCK_NO_PROBES). */
 template <typename Lock>
-void
+bool
 profile(const char* name, stats::Table& table, bool dump_trace)
 {
     SimMachine machine(Topology::wildfire(8));
@@ -58,6 +60,8 @@ profile(const char* name, stats::Table& table, bool dump_trace)
     machine.run();
 
     registry.finalize();
+    if (registry.primary() == nullptr)
+        return false;
     const obs::LockMetrics& m = *registry.primary();
     table.row()
         .cell(name)
@@ -79,6 +83,7 @@ profile(const char* name, stats::Table& table, bool dump_trace)
             std::cout << "  " << line << "\n";
         std::cout << "  ... (" << recorder.events().size() << " events)\n\n";
     }
+    return true;
 }
 
 } // namespace
@@ -86,13 +91,17 @@ profile(const char* name, stats::Table& table, bool dump_trace)
 int
 main()
 {
-    std::cout << "Lock profile: shared metadata table, 16 threads, 2-node "
-                 "NUCA\n\n";
     stats::Table table({"Lock", "acquires", "wait p50 (ns)", "wait p99 (ns)",
                         "hold p50 (ns)", "local ho", "remote ho",
                         "local ho %"});
-    profile<McsLock<SimContext>>("MCS", table, false);
-    profile<HboGtSdLock<SimContext>>("HBO_GT_SD", table, true);
+    if (!profile<McsLock<SimContext>>("MCS", table, false)) {
+        std::cout << "lock_stats: probe metrics are compiled out "
+                     "(-DNUCALOCK_NO_PROBES); nothing to profile\n";
+        return 0;
+    }
+    std::cout << "Lock profile: shared metadata table, 16 threads, 2-node "
+                 "NUCA\n\n";
+    (void)profile<HboGtSdLock<SimContext>>("HBO_GT_SD", table, true);
     table.print(std::cout);
     return 0;
 }

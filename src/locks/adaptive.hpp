@@ -29,6 +29,7 @@
 #define NUCALOCK_LOCKS_ADAPTIVE_HPP
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "locks/adaptive_policy.hpp"
@@ -69,28 +70,7 @@ class AdaptiveLock
     void
     acquire(Ctx& ctx)
     {
-        obs::probe(ctx, obs::LockEvent::AcquireAttempt, word_.token());
-        const AdaptGear gear = current_gear(ctx);
-        bool contended = false;
-        switch (gear) {
-          case AdaptGear::Tatas:
-            contended = tatas_take_word(ctx) > 1;
-            queued_ = false;
-            break;
-          case AdaptGear::Hbo:
-            contended = hbo_acquire(ctx);
-            queued_ = false;
-            break;
-          case AdaptGear::Queue:
-            // Wait in the MCS queue, then take the word with an eager spin
-            // (only the queue head and stale-gear stragglers compete).
-            contended = queue_.acquire_reporting(ctx);
-            (void)tatas_take_word(ctx);
-            queued_ = true;
-            break;
-        }
-        obs::probe(ctx, obs::LockEvent::Acquired, word_.token());
-        holder_policy(ctx, gear, contended);
+        (void)acquire_until(ctx, NoDeadline{});
     }
 
     bool
@@ -108,65 +88,18 @@ class AdaptiveLock
     }
 
     /**
-     * Timed acquisition: every gear's wait is deadline-bounded. The
-     * abandonment paths feed AdaptivePolicy::on_abandon, so a storm of
-     * timeouts demotes the lock to the queue gear (bounded handoff) even
-     * when the holder is dead and no acquisition will ever run policy
-     * again. Overshoot is bounded by one capped backoff plus one poll in
-     * the word-take loops; the queue wait inherits McsLock's bound.
+     * Timed acquisition: acquire() with every gear's wait
+     * deadline-bounded. The abandonment paths feed
+     * AdaptivePolicy::on_abandon, so a storm of timeouts demotes the lock
+     * to the queue gear (bounded handoff) even when the holder is dead and
+     * no acquisition will ever run policy again. Overshoot is bounded by
+     * one capped backoff plus one poll in the word-take loops; the queue
+     * wait inherits McsLock's bound.
      */
     bool
     try_acquire_for(Ctx& ctx, std::uint64_t timeout_ns)
     {
-        const std::uint64_t deadline = detail::deadline_after(ctx, timeout_ns);
-        obs::probe(ctx, obs::LockEvent::AcquireAttempt, word_.token(), 1);
-        const AdaptGear gear = current_gear(ctx);
-        switch (gear) {
-          case AdaptGear::Tatas: {
-            std::uint64_t rounds = 0;
-            if (!timed_take_word(ctx, deadline, &rounds))
-                return abandon_own(ctx, gear);
-            queued_ = false;
-            obs::probe(ctx, obs::LockEvent::Acquired, word_.token(), 1);
-            holder_policy(ctx, gear, rounds > 1);
-            return true;
-          }
-          case AdaptGear::Hbo:
-            if (!hbo_timed_acquire(ctx, deadline, gear))
-                return false; // abandonment handled inside (gate re-open)
-            queued_ = false;
-            obs::probe(ctx, obs::LockEvent::Acquired, word_.token(), 1);
-            holder_policy(ctx, gear, true);
-            return true;
-          case AdaptGear::Queue: {
-            const std::uint64_t now = detail::lock_clock_ns(ctx);
-            const std::uint64_t budget = deadline > now ? deadline - now : 0;
-            if (!queue_.try_acquire_for(ctx, budget)) {
-                // The queue accounted its own abandonment (its counters,
-                // its lock id); close this lock's attempt and run the
-                // storm check, but do not double-count.
-                obs::probe(ctx, obs::LockEvent::AbandonStart, word_.token());
-                obs::probe(ctx, obs::LockEvent::AbandonDone, word_.token(),
-                           static_cast<std::uint64_t>(
-                               obs::AbandonOutcome::Clean));
-                storm_check(ctx, gear);
-                return false;
-            }
-            std::uint64_t rounds = 0;
-            if (!timed_take_word(ctx, deadline, &rounds)) {
-                // Queue headship obtained but the word never freed (e.g.
-                // the holder died): hand the grant to our successor so the
-                // queue keeps draining — bounded handoff, no wedge.
-                queue_.release(ctx);
-                return abandon_own(ctx, gear);
-            }
-            queued_ = true;
-            obs::probe(ctx, obs::LockEvent::Acquired, word_.token(), 1);
-            holder_policy(ctx, gear, true);
-            return true;
-          }
-        }
-        return false; // unreachable
+        return acquire_until(ctx, Deadline::after(ctx, timeout_ns));
     }
 
     void
@@ -224,42 +157,85 @@ class AdaptiveLock
         return gates_[static_cast<std::size_t>(ctx.node())];
     }
 
-    /** TATAS_EXP on the word (node token in, so every gear can classify
-     *  the holder). Returns the number of backoff rounds paid — the
-     *  policy's contention-cost proxy. One round is the cheap, common case
-     *  of colliding with a short holder; only waits that keep escalating
-     *  the backoff (>1 round) should read as contention worth a gear. */
-    std::uint64_t
-    tatas_take_word(Ctx& ctx)
+    /**
+     * Route the arrival through the current gear, untimed (NoDeadline)
+     * or timed (Deadline), then run the holder-side policy sample.
+     * @return false only when @p deadline expired (abandonment accounted
+     *         and storm-checked).
+     */
+    template <typename D>
+    bool
+    acquire_until(Ctx& ctx, const D& deadline)
     {
-        const std::uint64_t mine = hbo_node_token(ctx.node());
+        obs::probe(ctx, obs::LockEvent::AcquireAttempt, word_.token(),
+                   D::kTimed);
+        const AdaptGear gear = current_gear(ctx);
         std::uint64_t rounds = 0;
-        if (ctx.cas(word_, kHboFree, mine) == kHboFree)
-            return rounds;
-        std::uint32_t b = params_.tatas.base;
-        while (true) {
-            ++rounds;
-            backoff(ctx, &b, params_.tatas.factor, params_.tatas.cap,
-                    params_.jitter, obs::BackoffClass::Generic);
-            if (ctx.load(word_) != kHboFree)
-                continue;
-            if (ctx.cas(word_, kHboFree, mine) == kHboFree)
-                return rounds;
+        bool contended = false;
+        switch (gear) {
+          case AdaptGear::Tatas:
+            if (!take_word(ctx, deadline, &rounds))
+                return abandon_own(ctx, gear);
+            contended = rounds > 1;
+            queued_ = false;
+            break;
+          case AdaptGear::Hbo:
+            if (!hbo_gear(ctx, deadline, &rounds))
+                return false; // abandonment handled inside (gate re-open)
+            // A timed acquire through this gear reports contention
+            // whatever it paid; only the untimed one uses its rounds.
+            contended = D::kTimed || rounds > 1;
+            queued_ = false;
+            break;
+          case AdaptGear::Queue:
+            // Wait in the MCS queue, then take the word with an eager spin
+            // (only the queue head and stale-gear stragglers compete).
+            if constexpr (D::kTimed) {
+                if (!queue_.try_acquire_for(ctx, deadline.remaining_ns(ctx))) {
+                    // The queue accounted its own abandonment (its
+                    // counters, its lock id); close this lock's attempt
+                    // and run the storm check, but do not double-count.
+                    abandon_clean(ctx, nullptr, word_.token());
+                    storm_check(ctx, gear);
+                    return false;
+                }
+                contended = true;
+            } else {
+                contended = queue_.acquire_reporting(ctx);
+            }
+            if (!take_word(ctx, deadline, &rounds)) {
+                // Queue headship obtained but the word never freed (e.g.
+                // the holder died): hand the grant to our successor so the
+                // queue keeps draining — bounded handoff, no wedge.
+                queue_.release(ctx);
+                return abandon_own(ctx, gear);
+            }
+            queued_ = true;
+            break;
         }
+        obs::probe(ctx, obs::LockEvent::Acquired, word_.token(), D::kTimed);
+        holder_policy(ctx, gear, contended);
+        return true;
     }
 
-    /** Deadline-bounded TATAS_EXP word take; reports backoff rounds like
-     *  tatas_take_word. */
+    /**
+     * TATAS_EXP on the word (node token in, so every gear can classify
+     * the holder). Adds the backoff rounds paid to @p rounds — the
+     * policy's contention-cost proxy. One round is the cheap, common case
+     * of colliding with a short holder; only waits that keep escalating
+     * the backoff (>1 round) should read as contention worth a gear.
+     * @return false only when @p deadline expired (nothing to undo).
+     */
+    template <typename D>
     bool
-    timed_take_word(Ctx& ctx, std::uint64_t deadline, std::uint64_t* rounds)
+    take_word(Ctx& ctx, const D& deadline, std::uint64_t* rounds)
     {
         const std::uint64_t mine = hbo_node_token(ctx.node());
-        *rounds = 0;
         if (ctx.cas(word_, kHboFree, mine) == kHboFree)
             return true;
         std::uint32_t b = params_.tatas.base;
         while (true) {
-            if (detail::lock_clock_ns(ctx) >= deadline)
+            if (deadline.expired(ctx))
                 return false;
             ++*rounds;
             backoff(ctx, &b, params_.tatas.factor, params_.tatas.cap,
@@ -271,85 +247,35 @@ class AdaptiveLock
         }
     }
 
-    /** HBO_GT arrival shaping (locks/hbo_gt.hpp, inlined so the gears
-     *  share one word). Returns whether the acquire was contended, using
-     *  the same cost proxy as tatas_take_word: more than one backoff
-     *  round. A single cheap round is what a *working* gear looks like
-     *  under light load; reading it as contention would pin the lock in
-     *  this gear long after the load that justified it has drained. */
+    /**
+     * HBO_GT arrival shaping (locks/hbo_gt.hpp, inlined so the gears
+     * share one word, and without HBO_GT's extra backoff when the lock
+     * migrates away). Adds the backoff rounds paid to @p rounds, the same
+     * cost proxy as take_word: a single cheap round is what a *working*
+     * gear looks like under light load; reading it as contention would
+     * pin the lock in this gear long after the load that justified it has
+     * drained. A thread that times out after closing its node's gate
+     * re-opens it before leaving, or the node wedges.
+     * @return false only when @p deadline expired (abandonment accounted
+     *         and storm-checked).
+     */
+    template <typename D>
     bool
-    hbo_acquire(Ctx& ctx)
+    hbo_gear(Ctx& ctx, const D& deadline, std::uint64_t* rounds)
     {
-        obs::probe_gate(ctx, my_gate(ctx), gate_token_, word_.token());
-        ctx.spin_while_equal(my_gate(ctx), gate_token_);
         const std::uint64_t mine = hbo_node_token(ctx.node());
+        if (!gate_wait(ctx, my_gate(ctx), gate_token_, word_.token(), deadline))
+            return abandon_own(ctx, AdaptGear::Hbo);
         std::uint64_t tmp = ctx.cas(word_, kHboFree, mine);
-        if (tmp == kHboFree)
-            return false;
-        std::uint64_t rounds = 0;
-        while (true) {
+        while (tmp != kHboFree) {
             if (tmp == mine) {
                 // Local holder: small backoff, gate untouched.
                 std::uint32_t b = params_.hbo_local.base;
                 bool migrated = false;
-                while (!migrated) {
-                    ++rounds;
-                    backoff(ctx, &b, params_.hbo_local.factor,
-                            params_.hbo_local.cap, params_.jitter,
-                            obs::BackoffClass::Local);
-                    tmp = hbo_poll(ctx, word_, mine);
-                    if (tmp == kHboFree)
-                        return rounds > 1;
-                    if (tmp != mine)
-                        migrated = true;
-                }
-            } else {
-                // Remote holder: close our node's gate, back off hard.
-                std::uint32_t b = params_.hbo_remote_base;
-                obs::probe(ctx, obs::LockEvent::GatePublish, word_.token(),
-                           static_cast<std::uint64_t>(ctx.node()));
-                ctx.store(my_gate(ctx), gate_token_);
-                while (true) {
-                    ++rounds;
-                    backoff(ctx, &b, 2, params_.hbo_remote_cap, params_.jitter,
-                            obs::BackoffClass::Remote);
-                    tmp = hbo_poll(ctx, word_, mine);
-                    if (tmp == kHboFree || tmp == mine) {
-                        obs::probe(ctx, obs::LockEvent::GateOpen,
-                                   word_.token(), 1);
-                        ctx.store(my_gate(ctx), kGateDummyValue);
-                        if (tmp == kHboFree)
-                            return rounds > 1;
-                        break;
-                    }
-                }
-            }
-            // Restart: re-gate, retry, re-dispatch.
-            obs::probe_gate(ctx, my_gate(ctx), gate_token_, word_.token());
-            ctx.spin_while_equal(my_gate(ctx), gate_token_);
-            tmp = hbo_poll(ctx, word_, mine);
-            if (tmp == kHboFree)
-                return rounds > 1;
-        }
-    }
-
-    /** Deadline-bounded HBO gear (the HMCS-T gate discipline of
-     *  hbo_gt.hpp): a thread that times out after closing its node's gate
-     *  re-opens it before leaving, or the node wedges. */
-    bool
-    hbo_timed_acquire(Ctx& ctx, std::uint64_t deadline, AdaptGear gear)
-    {
-        const std::uint64_t mine = hbo_node_token(ctx.node());
-        if (!gate_wait_until(ctx, deadline))
-            return abandon_own(ctx, gear);
-        std::uint64_t tmp = ctx.cas(word_, kHboFree, mine);
-        while (tmp != kHboFree) {
-            if (tmp == mine) {
-                std::uint32_t b = params_.hbo_local.base;
-                bool migrated = false;
                 while (!migrated && tmp != kHboFree) {
-                    if (detail::lock_clock_ns(ctx) >= deadline)
-                        return abandon_own(ctx, gear);
+                    if (deadline.expired(ctx))
+                        return abandon_own(ctx, AdaptGear::Hbo);
+                    ++*rounds;
                     backoff(ctx, &b, params_.hbo_local.factor,
                             params_.hbo_local.cap, params_.jitter,
                             obs::BackoffClass::Local);
@@ -358,68 +284,46 @@ class AdaptiveLock
                         migrated = true;
                 }
             } else {
+                // Remote holder: close our node's gate, back off hard.
                 std::uint32_t b = params_.hbo_remote_base;
                 obs::probe(ctx, obs::LockEvent::GatePublish, word_.token(),
                            static_cast<std::uint64_t>(ctx.node()));
                 ctx.store(my_gate(ctx), gate_token_);
+                const auto reopen = [&] {
+                    open_gate(ctx, my_gate(ctx), word_.token(), kGateDummyValue);
+                };
                 while (true) {
-                    if (detail::lock_clock_ns(ctx) >= deadline)
-                        return abandon_reopening_gate(ctx, gear);
+                    if (deadline.expired(ctx))
+                        return abandon_own(ctx, AdaptGear::Hbo, reopen);
+                    ++*rounds;
                     backoff(ctx, &b, 2, params_.hbo_remote_cap, params_.jitter,
                             obs::BackoffClass::Remote);
                     tmp = hbo_poll(ctx, word_, mine);
                     if (tmp == kHboFree || tmp == mine) {
-                        obs::probe(ctx, obs::LockEvent::GateOpen,
-                                   word_.token(), 1);
-                        ctx.store(my_gate(ctx), kGateDummyValue);
+                        reopen();
                         break;
                     }
                 }
             }
             if (tmp == kHboFree)
                 break;
-            if (!gate_wait_until(ctx, deadline))
-                return abandon_own(ctx, gear);
+            // Restart: re-gate, retry, re-dispatch.
+            if (!gate_wait(ctx, my_gate(ctx), gate_token_, word_.token(),
+                           deadline))
+                return abandon_own(ctx, AdaptGear::Hbo);
             tmp = hbo_poll(ctx, word_, mine);
         }
         return true;
     }
 
-    /** Deadline-bounded entry/restart gate wait (HBO gear). */
+    /** Timed out with nothing left linked: account and probe (running
+     *  @p undo, see abandon_clean), then storm-check. */
+    template <typename Undo = detail::NothingToUndo>
     bool
-    gate_wait_until(Ctx& ctx, std::uint64_t deadline)
+    abandon_own(Ctx& ctx, AdaptGear gear, Undo&& undo = Undo{})
     {
-        obs::probe_gate(ctx, my_gate(ctx), gate_token_, word_.token());
-        while (ctx.load(my_gate(ctx)) == gate_token_) {
-            if (detail::lock_clock_ns(ctx) >= deadline)
-                return false;
-            ctx.delay(kTimedPollQuantum);
-        }
-        return true;
-    }
-
-    /** Timed out with nothing left behind: account, probe, storm-check. */
-    bool
-    abandon_own(Ctx& ctx, AdaptGear gear)
-    {
-        counters_.on_abandon();
-        obs::probe(ctx, obs::LockEvent::AbandonStart, word_.token());
-        obs::probe(ctx, obs::LockEvent::AbandonDone, word_.token(),
-                   static_cast<std::uint64_t>(obs::AbandonOutcome::Clean));
-        storm_check(ctx, gear);
-        return false;
-    }
-
-    /** Timed out while our gate closure is published: re-open it first. */
-    bool
-    abandon_reopening_gate(Ctx& ctx, AdaptGear gear)
-    {
-        counters_.on_abandon();
-        obs::probe(ctx, obs::LockEvent::AbandonStart, word_.token());
-        obs::probe(ctx, obs::LockEvent::GateOpen, word_.token(), 1);
-        ctx.store(my_gate(ctx), kGateDummyValue);
-        obs::probe(ctx, obs::LockEvent::AbandonDone, word_.token(),
-                   static_cast<std::uint64_t>(obs::AbandonOutcome::Clean));
+        abandon_clean(ctx, &counters_, word_.token(),
+                      std::forward<Undo>(undo));
         storm_check(ctx, gear);
         return false;
     }

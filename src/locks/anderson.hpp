@@ -11,6 +11,7 @@
 #ifndef NUCALOCK_LOCKS_ANDERSON_HPP
 #define NUCALOCK_LOCKS_ANDERSON_HPP
 
+#include <atomic>
 #include <vector>
 
 #include "common/logging.hpp"
@@ -67,7 +68,7 @@ class AndersonLock
     /**
      * Non-blocking try: succeed only when the lock is free and the grant
      * for the next ticket is already posted. `grants_` counts completed
-     * releases (single writer — the serialized holder), so observing
+     * releases (written by releasers, see release), so observing
      * grants == ticket and then winning the ticket cas proves no acquire
      * intervened: the grant for our slot is posted and consuming it cannot
      * block.
@@ -103,8 +104,15 @@ class AndersonLock
         const auto next = static_cast<std::uint32_t>((slot + 1) % slots_);
         ctx.store(flags_.at(next), kHasLock);
         // Grant count after the grant itself: a try_acquire that sees the
-        // new count is guaranteed to find its grant flag already set.
-        ctx.store(grants_, ++grants_value_);
+        // new count is guaranteed to find its grant flag already set. Once
+        // the flag is set the next holder may release concurrently, so the
+        // shadow is bumped atomically (a plain ++ here raced and could lose
+        // a count). A releaser stalled between its bump and its store can
+        // still land a count below its successor's, leaving try_acquire to
+        // fail until the next release; closing that window moves this
+        // lock's simulated stores.
+        ctx.store(grants_,
+                  grants_value_.fetch_add(1, std::memory_order_relaxed) + 1);
     }
 
     /** Identity for probes and traffic attribution: the primary word's
@@ -120,7 +128,7 @@ class AndersonLock
     Ref grants_; // completed releases; == ticket when free and settled
     Ref flags_;
     std::vector<std::uint64_t> holder_slot_; // per-thread, lock-protected
-    std::uint64_t grants_value_ = 0;         // shadow of grants_ (holder-only)
+    std::atomic<std::uint64_t> grants_value_{0}; // shadow of grants_ (releasers)
 };
 
 } // namespace nucalock::locks

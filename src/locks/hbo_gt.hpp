@@ -47,15 +47,7 @@ class HboGtLock
     void
     acquire(Ctx& ctx)
     {
-        obs::probe(ctx, obs::LockEvent::AcquireAttempt, word_.token());
-        // Figure 1 line 5: wait while our node's gate names this lock.
-        obs::probe_gate(ctx, my_gate(ctx), gate_token_, word_.token());
-        ctx.spin_while_equal(my_gate(ctx), gate_token_);
-        const std::uint64_t tmp =
-            ctx.cas(word_, kHboFree, hbo_node_token(ctx.node()));
-        if (tmp != kHboFree)
-            acquire_slowpath(ctx, tmp);
-        obs::probe(ctx, obs::LockEvent::Acquired, word_.token());
+        (void)acquire_until(ctx, NoDeadline{});
     }
 
     bool
@@ -73,71 +65,21 @@ class HboGtLock
     }
 
     /**
-     * Timed acquisition (the HMCS-T discipline applied to gates): every
-     * wait — the entry gate, both slowpath backoff loops, the restart
-     * gate — is deadline-bounded, and a thread that times out after
-     * *closing* its node's gate must re-open it before leaving or the
-     * node wedges behind a gate nobody will clear (exactly the window
-     * the `spinner` fault preset targets). Timeouts in the local branch
-     * or while gate-blocked have nothing to undo: a blocked gate was
-     * closed by some other, still-active waiter of this node.
+     * Timed acquisition (the HMCS-T discipline applied to gates): the
+     * same loop as acquire() with every wait — the entry gate, both
+     * backoff loops, the restart gate — deadline-bounded. A thread that
+     * times out after *closing* its node's gate must re-open it before
+     * leaving or the node wedges behind a gate nobody will clear (exactly
+     * the window the `spinner` fault preset targets). Timeouts in the
+     * local branch or while gate-blocked have nothing to undo: a blocked
+     * gate was closed by some other, still-active waiter of this node.
      * Overshoot is bounded by one backoff period (remote cap at worst)
      * plus one poll.
      */
     bool
     try_acquire_for(Ctx& ctx, std::uint64_t timeout_ns)
     {
-        const std::uint64_t deadline = detail::deadline_after(ctx, timeout_ns);
-        obs::probe(ctx, obs::LockEvent::AcquireAttempt, word_.token(), 1);
-        const std::uint64_t mine = hbo_node_token(ctx.node());
-        if (!gate_wait_until(ctx, deadline))
-            return abandon_clean(ctx);
-        std::uint64_t tmp = ctx.cas(word_, kHboFree, mine);
-        while (tmp != kHboFree) {
-            if (tmp == mine) {
-                // Local holder: small backoff, gate untouched.
-                std::uint32_t b = params_.hbo_local.base;
-                bool migrated = false;
-                while (!migrated && tmp != kHboFree) {
-                    if (detail::lock_clock_ns(ctx) >= deadline)
-                        return abandon_clean(ctx);
-                    backoff(ctx, &b, params_.hbo_local.factor,
-                            params_.hbo_local.cap, params_.jitter,
-                            obs::BackoffClass::Local);
-                    tmp = hbo_poll(ctx, word_, mine);
-                    if (tmp != kHboFree && tmp != mine)
-                        migrated = true;
-                }
-            } else {
-                // Remote holder: close the gate — and own the obligation
-                // to re-open it on every exit from this loop.
-                std::uint32_t b = params_.hbo_remote_base;
-                obs::probe(ctx, obs::LockEvent::GatePublish, word_.token(),
-                           static_cast<std::uint64_t>(ctx.node()));
-                ctx.store(my_gate(ctx), gate_token_);
-                while (true) {
-                    if (detail::lock_clock_ns(ctx) >= deadline)
-                        return abandon_reopening_gate(ctx);
-                    backoff(ctx, &b, 2, params_.hbo_remote_cap, params_.jitter,
-                            obs::BackoffClass::Remote);
-                    tmp = hbo_poll(ctx, word_, mine);
-                    if (tmp == kHboFree || tmp == mine) {
-                        obs::probe(ctx, obs::LockEvent::GateOpen,
-                                   word_.token(), 1);
-                        ctx.store(my_gate(ctx), kGateDummyValue);
-                        break;
-                    }
-                }
-            }
-            if (tmp == kHboFree)
-                break;
-            // Restart: re-gate (bounded), retry, re-dispatch.
-            if (!gate_wait_until(ctx, deadline))
-                return abandon_clean(ctx);
-            tmp = hbo_poll(ctx, word_, mine);
-        }
-        obs::probe(ctx, obs::LockEvent::Acquired, word_.token(), 1);
-        return true;
+        return acquire_until(ctx, Deadline::after(ctx, timeout_ns));
     }
 
     /** Host-side abandonment accounting (see locks/timed.hpp). */
@@ -161,96 +103,80 @@ class HboGtLock
         return gates_[static_cast<std::size_t>(ctx.node())];
     }
 
-    /** Deadline-bounded version of the entry/restart gate wait. */
+    /**
+     * Figure 1's acquire, untimed (NoDeadline) or timed (Deadline).
+     * @return false only when @p deadline expired (abandonment accounted).
+     */
+    template <typename D>
     bool
-    gate_wait_until(Ctx& ctx, std::uint64_t deadline)
+    acquire_until(Ctx& ctx, const D& deadline)
     {
-        obs::probe_gate(ctx, my_gate(ctx), gate_token_, word_.token());
-        while (ctx.load(my_gate(ctx)) == gate_token_) {
-            if (detail::lock_clock_ns(ctx) >= deadline)
-                return false;
-            ctx.delay(kTimedPollQuantum);
-        }
-        return true;
-    }
-
-    /** Timed-out with no gate closed by us: nothing to undo. */
-    bool
-    abandon_clean(Ctx& ctx)
-    {
-        counters_.on_abandon();
-        obs::probe(ctx, obs::LockEvent::AbandonStart, word_.token());
-        obs::probe(ctx, obs::LockEvent::AbandonDone, word_.token(),
-                   static_cast<std::uint64_t>(obs::AbandonOutcome::Clean));
-        return false;
-    }
-
-    /** Timed-out while our gate closure is published: re-open it. */
-    bool
-    abandon_reopening_gate(Ctx& ctx)
-    {
-        counters_.on_abandon();
-        obs::probe(ctx, obs::LockEvent::AbandonStart, word_.token());
-        obs::probe(ctx, obs::LockEvent::GateOpen, word_.token(), 1);
-        ctx.store(my_gate(ctx), kGateDummyValue);
-        obs::probe(ctx, obs::LockEvent::AbandonDone, word_.token(),
-                   static_cast<std::uint64_t>(obs::AbandonOutcome::Clean));
-        return false;
-    }
-
-    void
-    acquire_slowpath(Ctx& ctx, std::uint64_t tmp)
-    {
+        obs::probe(ctx, obs::LockEvent::AcquireAttempt, word_.token(),
+                   D::kTimed);
         const std::uint64_t mine = hbo_node_token(ctx.node());
-        while (true) {
+        // Figure 1 line 5: wait while our node's gate names this lock.
+        if (!gate_wait(ctx, my_gate(ctx), gate_token_, word_.token(), deadline))
+            return abandon_clean(ctx, &counters_, word_.token());
+        std::uint64_t tmp = ctx.cas(word_, kHboFree, mine);
+        while (tmp != kHboFree) {
             if (tmp == mine) {
-                // Local holder: small backoff (Figure 1 lines 23-35).
+                // Local holder: small backoff, gate untouched (Figure 1
+                // lines 23-35).
                 std::uint32_t b = params_.hbo_local.base;
                 bool migrated = false;
-                while (!migrated) {
+                while (!migrated && tmp != kHboFree) {
+                    if (deadline.expired(ctx))
+                        return abandon_clean(ctx, &counters_, word_.token());
                     backoff(ctx, &b, params_.hbo_local.factor,
                             params_.hbo_local.cap, params_.jitter,
                             obs::BackoffClass::Local);
                     tmp = hbo_poll(ctx, word_, mine);
-                    if (tmp == kHboFree)
-                        return;
-                    if (tmp != mine) {
-                        backoff(ctx, &b, params_.hbo_local.factor,
-                                params_.hbo_local.cap, params_.jitter,
-                                obs::BackoffClass::Local);
+                    if (tmp != kHboFree && tmp != mine) {
+                        // The lock migrated away. Only the untimed loop
+                        // backs off once more before re-dispatching: the
+                        // fault campaign's overshoot bound and its pinned
+                        // report were measured without that backoff.
+                        if constexpr (!D::kTimed)
+                            backoff(ctx, &b, params_.hbo_local.factor,
+                                    params_.hbo_local.cap, params_.jitter,
+                                    obs::BackoffClass::Local);
                         migrated = true;
                     }
                 }
             } else {
-                // Remote holder: publish the gate and back off hard
-                // (Figure 1 lines 37-52).
+                // Remote holder: close our node's gate — and own the
+                // obligation to re-open it on every exit from this loop —
+                // then back off hard (Figure 1 lines 37-52).
                 std::uint32_t b = params_.hbo_remote_base;
                 obs::probe(ctx, obs::LockEvent::GatePublish, word_.token(),
                            static_cast<std::uint64_t>(ctx.node()));
                 ctx.store(my_gate(ctx), gate_token_);
+                const auto reopen = [&] {
+                    open_gate(ctx, my_gate(ctx), word_.token(), kGateDummyValue);
+                };
                 while (true) {
+                    if (deadline.expired(ctx))
+                        return abandon_clean(ctx, &counters_, word_.token(),
+                                             reopen);
                     backoff(ctx, &b, 2, params_.hbo_remote_cap, params_.jitter,
                             obs::BackoffClass::Remote);
                     tmp = hbo_poll(ctx, word_, mine);
-                    if (tmp == kHboFree) {
-                        obs::probe(ctx, obs::LockEvent::GateOpen, word_.token(), 1);
-                        ctx.store(my_gate(ctx), kGateDummyValue);
-                        return;
-                    }
-                    if (tmp == mine) {
-                        obs::probe(ctx, obs::LockEvent::GateOpen, word_.token(), 1);
-                        ctx.store(my_gate(ctx), kGateDummyValue);
+                    if (tmp == kHboFree || tmp == mine) {
+                        reopen();
                         break;
                     }
                 }
             }
-            // Figure 1 lines 55-60 ("restart"): re-gate, retry, re-dispatch.
-            obs::probe_gate(ctx, my_gate(ctx), gate_token_, word_.token());
-            ctx.spin_while_equal(my_gate(ctx), gate_token_);
-            tmp = hbo_poll(ctx, word_, mine);
             if (tmp == kHboFree)
-                return;
+                break;
+            // Figure 1 lines 55-60 ("restart"): re-gate, retry, re-dispatch.
+            if (!gate_wait(ctx, my_gate(ctx), gate_token_, word_.token(),
+                           deadline))
+                return abandon_clean(ctx, &counters_, word_.token());
+            tmp = hbo_poll(ctx, word_, mine);
         }
+        obs::probe(ctx, obs::LockEvent::Acquired, word_.token(), D::kTimed);
+        return true;
     }
 
     Ref word_;

@@ -56,22 +56,14 @@ class HboGtSdLock
     void
     acquire(Ctx& ctx)
     {
-        obs::probe(ctx, obs::LockEvent::AcquireAttempt, word_.token());
-        obs::probe_gate(ctx, my_gate(ctx), gate_token_, word_.token());
-        ctx.spin_while_equal(gates_[static_cast<std::size_t>(ctx.node())],
-                             gate_token_);
-        const std::uint64_t tmp =
-            ctx.cas(word_, kHboFree, hbo_node_token(ctx.node()));
-        if (tmp != kHboFree)
-            acquire_slowpath(ctx, tmp);
-        obs::probe(ctx, obs::LockEvent::Acquired, word_.token());
+        (void)acquire_until(ctx, NoDeadline{});
     }
 
     bool
     try_acquire(Ctx& ctx)
     {
         obs::probe(ctx, obs::LockEvent::AcquireAttempt, word_.token(), 1);
-        if (ctx.load(gates_[static_cast<std::size_t>(ctx.node())]) == gate_token_) {
+        if (ctx.load(my_gate(ctx)) == gate_token_) {
             obs::probe(ctx, obs::LockEvent::GateBlocked, word_.token());
             return false;
         }
@@ -82,56 +74,17 @@ class HboGtSdLock
     }
 
     /**
-     * Timed acquisition. Same gate obligations as HboGtLock plus the
-     * anger set: a timed-out angry waiter has closed up to kMaxNodes
-     * *other* nodes' gates and must re-open every one of them (via the
-     * same open_gates path the success exits use) or those nodes wedge.
-     * Overshoot is bounded by one backoff period plus one poll.
+     * Timed acquisition: acquire()'s loop, deadline-bounded. Same gate
+     * obligations as HboGtLock plus the anger set: a timed-out angry
+     * waiter has closed up to kMaxNodes *other* nodes' gates and must
+     * re-open every one of them (via the same open_gates path the success
+     * exits use) or those nodes wedge. Overshoot is bounded by one
+     * backoff period plus one poll.
      */
     bool
     try_acquire_for(Ctx& ctx, std::uint64_t timeout_ns)
     {
-        const std::uint64_t deadline = detail::deadline_after(ctx, timeout_ns);
-        obs::probe(ctx, obs::LockEvent::AcquireAttempt, word_.token(), 1);
-        const std::uint64_t mine = hbo_node_token(ctx.node());
-        if (!gate_wait_until(ctx, deadline))
-            return abandon_clean(ctx);
-        std::uint64_t tmp = ctx.cas(word_, kHboFree, mine);
-        while (tmp != kHboFree) {
-            if (tmp == mine) {
-                std::uint32_t b = params_.hbo_local.base;
-                bool migrated = false;
-                while (!migrated && tmp != kHboFree) {
-                    if (detail::lock_clock_ns(ctx) >= deadline)
-                        return abandon_clean(ctx);
-                    backoff(ctx, &b, params_.hbo_local.factor,
-                            params_.hbo_local.cap, params_.jitter,
-                            obs::BackoffClass::Local);
-                    tmp = hbo_poll(ctx, word_, mine);
-                    if (tmp != kHboFree && tmp != mine)
-                        migrated = true;
-                }
-            } else {
-                const RemoteSpinOutcome outcome =
-                    remote_spin_until(ctx, mine, deadline);
-                if (outcome == RemoteSpinOutcome::TimedOut) {
-                    counters_.on_abandon();
-                    obs::probe(ctx, obs::LockEvent::AbandonDone, word_.token(),
-                               static_cast<std::uint64_t>(
-                                   obs::AbandonOutcome::Clean));
-                    return false;
-                }
-                tmp = outcome == RemoteSpinOutcome::Acquired ? kHboFree
-                                                             : mine;
-            }
-            if (tmp == kHboFree)
-                break;
-            if (!gate_wait_until(ctx, deadline))
-                return abandon_clean(ctx);
-            tmp = hbo_poll(ctx, word_, mine);
-        }
-        obs::probe(ctx, obs::LockEvent::Acquired, word_.token(), 1);
-        return true;
+        return acquire_until(ctx, Deadline::after(ctx, timeout_ns));
     }
 
     /** Host-side abandonment accounting (see locks/timed.hpp). */
@@ -162,138 +115,73 @@ class HboGtSdLock
         return gates_[static_cast<std::size_t>(ctx.node())];
     }
 
-    /** Deadline-bounded version of the entry/restart gate wait. */
+    /**
+     * HBO_GT's acquire with remote_spin in the remote branch, untimed
+     * (NoDeadline) or timed (Deadline).
+     * @return false only when @p deadline expired (abandonment accounted).
+     */
+    template <typename D>
     bool
-    gate_wait_until(Ctx& ctx, std::uint64_t deadline)
+    acquire_until(Ctx& ctx, const D& deadline)
     {
-        obs::probe_gate(ctx, my_gate(ctx), gate_token_, word_.token());
-        while (ctx.load(my_gate(ctx)) == gate_token_) {
-            if (detail::lock_clock_ns(ctx) >= deadline)
-                return false;
-            ctx.delay(kTimedPollQuantum);
-        }
-        return true;
-    }
-
-    /** Timed-out with no gate closed by us: nothing to undo. */
-    bool
-    abandon_clean(Ctx& ctx)
-    {
-        counters_.on_abandon();
-        obs::probe(ctx, obs::LockEvent::AbandonStart, word_.token());
-        obs::probe(ctx, obs::LockEvent::AbandonDone, word_.token(),
-                   static_cast<std::uint64_t>(obs::AbandonOutcome::Clean));
-        return false;
-    }
-
-    void
-    acquire_slowpath(Ctx& ctx, std::uint64_t tmp)
-    {
+        obs::probe(ctx, obs::LockEvent::AcquireAttempt, word_.token(),
+                   D::kTimed);
         const std::uint64_t mine = hbo_node_token(ctx.node());
-        while (true) {
+        if (!gate_wait(ctx, my_gate(ctx), gate_token_, word_.token(), deadline))
+            return abandon_clean(ctx, &counters_, word_.token());
+        std::uint64_t tmp = ctx.cas(word_, kHboFree, mine);
+        while (tmp != kHboFree) {
             if (tmp == mine) {
                 std::uint32_t b = params_.hbo_local.base;
                 bool migrated = false;
-                while (!migrated) {
+                while (!migrated && tmp != kHboFree) {
+                    if (deadline.expired(ctx))
+                        return abandon_clean(ctx, &counters_, word_.token());
                     backoff(ctx, &b, params_.hbo_local.factor,
                             params_.hbo_local.cap, params_.jitter,
                             obs::BackoffClass::Local);
                     tmp = hbo_poll(ctx, word_, mine);
-                    if (tmp == kHboFree)
-                        return;
-                    if (tmp != mine) {
-                        backoff(ctx, &b, params_.hbo_local.factor,
-                                params_.hbo_local.cap, params_.jitter,
-                                obs::BackoffClass::Local);
+                    if (tmp != kHboFree && tmp != mine) {
+                        // Migrated away: as in HboGtLock, only the untimed
+                        // loop backs off once more (the fault campaign's
+                        // overshoot bound and its pinned report were
+                        // measured without it).
+                        if constexpr (!D::kTimed)
+                            backoff(ctx, &b, params_.hbo_local.factor,
+                                    params_.hbo_local.cap, params_.jitter,
+                                    obs::BackoffClass::Local);
                         migrated = true;
                     }
                 }
             } else {
-                if (remote_spin(ctx, mine))
-                    return;
+                const RemoteSpinOutcome outcome =
+                    remote_spin(ctx, mine, deadline);
+                if (outcome == RemoteSpinOutcome::TimedOut)
+                    return false; // abandonment accounted inside
+                tmp = outcome == RemoteSpinOutcome::Acquired ? kHboFree
+                                                             : mine;
             }
-            obs::probe_gate(ctx, my_gate(ctx), gate_token_, word_.token());
-            ctx.spin_while_equal(my_gate(ctx), gate_token_);
-            tmp = hbo_poll(ctx, word_, mine);
             if (tmp == kHboFree)
-                return;
+                break;
+            if (!gate_wait(ctx, my_gate(ctx), gate_token_, word_.token(),
+                           deadline))
+                return abandon_clean(ctx, &counters_, word_.token());
+            tmp = hbo_poll(ctx, word_, mine);
         }
+        obs::probe(ctx, obs::LockEvent::Acquired, word_.token(), D::kTimed);
+        return true;
     }
 
     /**
-     * Remote spinning with starvation detection (Figure 2).
-     * @return true when the lock was acquired; false when it migrated to
-     *         our node (caller re-dispatches through "restart").
+     * Remote spinning with starvation detection (Figure 2). Every exit —
+     * acquired, migrated home (the caller re-dispatches through
+     * "restart"), or timed out — re-opens our gate and the whole anger
+     * set. The timeout exit runs that re-open inside the abandonment, so
+     * the abandon-latency metric covers it.
      */
-    bool
-    remote_spin(Ctx& ctx, std::uint64_t mine)
-    {
-        std::uint32_t b = params_.hbo_remote_base;
-        std::uint32_t get_angry = 0;
-        bool angry = false;
-        std::array<bool, kMaxNodes> stopped{};
-        int stopped_count = 0;
-
-        obs::probe(ctx, obs::LockEvent::GatePublish, word_.token(),
-                   static_cast<std::uint64_t>(ctx.node()));
-        ctx.store(my_gate(ctx), gate_token_);
-        while (true) {
-            if (angry) {
-                // Measure (1): spin more frequently.
-                std::uint32_t fast = params_.hbo_local.base;
-                backoff(ctx, &fast, params_.hbo_local.factor,
-                        params_.hbo_local.cap, params_.jitter,
-                        obs::BackoffClass::Local);
-            } else {
-                backoff(ctx, &b, 2, params_.hbo_remote_cap, params_.jitter,
-                        obs::BackoffClass::Remote);
-            }
-
-            const std::uint64_t tmp = hbo_poll(ctx, word_, mine);
-            if (tmp == kHboFree) {
-                if (angry)
-                    obs::probe(ctx, obs::LockEvent::AngryExit, word_.token());
-                open_gates(ctx, stopped, stopped_count);
-                return true;
-            }
-            if (tmp == mine) {
-                if (angry)
-                    obs::probe(ctx, obs::LockEvent::AngryExit, word_.token());
-                open_gates(ctx, stopped, stopped_count);
-                return false;
-            }
-
-            // The lock is still in some remote node.
-            ++get_angry;
-            if (get_angry >= params_.get_angry_limit) {
-                if (!angry)
-                    obs::probe(ctx, obs::LockEvent::AngryEnter, word_.token(),
-                               tmp - 1);
-                angry = true;
-                // Measure (2): stop the holding node's threads.
-                const int holder = static_cast<int>(tmp) - 1;
-                if (holder >= 0 && holder < static_cast<int>(gates_.size()) &&
-                    !stopped[static_cast<std::size_t>(holder)]) {
-                    stopped[static_cast<std::size_t>(holder)] = true;
-                    ++stopped_count;
-                    obs::probe(ctx, obs::LockEvent::GatePublish, word_.token(),
-                               static_cast<std::uint64_t>(holder), 1);
-                    ctx.store(gates_[static_cast<std::size_t>(holder)],
-                              gate_token_);
-                }
-            }
-        }
-    }
-
-    /**
-     * Deadline-bounded remote_spin. Anger works exactly as in the
-     * untimed path; every exit — acquired, migrated home, or timed out —
-     * re-opens our gate and the whole anger set. The timeout exit emits
-     * AbandonStart before the gate stores so the abandon-latency metric
-     * covers the re-open work.
-     */
+    template <typename D>
     RemoteSpinOutcome
-    remote_spin_until(Ctx& ctx, std::uint64_t mine, std::uint64_t deadline)
+    remote_spin(Ctx& ctx, std::uint64_t mine, const D& deadline)
     {
         std::uint32_t b = params_.hbo_remote_base;
         std::uint32_t get_angry = 0;
@@ -305,11 +193,13 @@ class HboGtSdLock
                    static_cast<std::uint64_t>(ctx.node()));
         ctx.store(my_gate(ctx), gate_token_);
         while (true) {
-            if (detail::lock_clock_ns(ctx) >= deadline) {
-                obs::probe(ctx, obs::LockEvent::AbandonStart, word_.token());
-                if (angry)
-                    obs::probe(ctx, obs::LockEvent::AngryExit, word_.token());
-                open_gates(ctx, stopped, stopped_count);
+            if (deadline.expired(ctx)) {
+                abandon_clean(ctx, &counters_, word_.token(), [&] {
+                    if (angry)
+                        obs::probe(ctx, obs::LockEvent::AngryExit,
+                                   word_.token());
+                    open_gates(ctx, stopped, stopped_count);
+                });
                 return RemoteSpinOutcome::TimedOut;
             }
             if (angry) {

@@ -48,13 +48,7 @@ class HboHierLock
     void
     acquire(Ctx& ctx)
     {
-        obs::probe(ctx, obs::LockEvent::AcquireAttempt, word_.token());
-        obs::probe_gate(ctx, my_gate(ctx), gate_token_, word_.token());
-        ctx.spin_while_equal(my_gate(ctx), gate_token_);
-        const std::uint64_t tmp = ctx.cas(word_, kHboFree, chip_token(ctx));
-        if (tmp != kHboFree)
-            acquire_slowpath(ctx, tmp);
-        obs::probe(ctx, obs::LockEvent::Acquired, word_.token());
+        (void)acquire_until(ctx, NoDeadline{});
     }
 
     bool
@@ -72,67 +66,16 @@ class HboHierLock
     }
 
     /**
-     * Timed acquisition, same obligations as HboGtLock::try_acquire_for:
-     * every wait is deadline-bounded and a timeout inside the remote
-     * branch re-opens the gate this thread closed. The chip/node/remote
-     * dispatch is unchanged; only the remote branch touches the gate, so
-     * chip- and node-level timeouts have nothing to undo.
+     * Timed acquisition: acquire()'s loop, deadline-bounded, with the
+     * same obligations as HboGtLock::try_acquire_for: a timeout inside
+     * the remote branch re-opens the gate this thread closed. Only the
+     * remote branch touches the gate, so chip- and node-level timeouts
+     * have nothing to undo.
      */
     bool
     try_acquire_for(Ctx& ctx, std::uint64_t timeout_ns)
     {
-        const std::uint64_t deadline = detail::deadline_after(ctx, timeout_ns);
-        obs::probe(ctx, obs::LockEvent::AcquireAttempt, word_.token(), 1);
-        const std::uint64_t mine = chip_token(ctx);
-        if (!gate_wait_until(ctx, deadline))
-            return abandon_clean(ctx);
-        std::uint64_t tmp = ctx.cas(word_, kHboFree, mine);
-        while (tmp != kHboFree) {
-            const Level level = level_of(ctx, tmp);
-            if (level == Level::Remote) {
-                std::uint32_t b = params_.hbo_remote_base;
-                obs::probe(ctx, obs::LockEvent::GatePublish, word_.token(),
-                           static_cast<std::uint64_t>(ctx.node()));
-                ctx.store(my_gate(ctx), gate_token_);
-                while (true) {
-                    if (detail::lock_clock_ns(ctx) >= deadline)
-                        return abandon_reopening_gate(ctx);
-                    backoff(ctx, &b, 2, params_.hbo_remote_cap, params_.jitter,
-                            obs::BackoffClass::Remote);
-                    tmp = hbo_poll(ctx, word_, mine);
-                    if (tmp == kHboFree ||
-                        level_of(ctx, tmp) != Level::Remote) {
-                        obs::probe(ctx, obs::LockEvent::GateOpen,
-                                   word_.token(), 1);
-                        ctx.store(my_gate(ctx),
-                                  HboGtLock<Ctx>::kGateDummyValue);
-                        break;
-                    }
-                }
-            } else {
-                const BackoffParams& bp = level == Level::SameChip
-                                              ? params_.hier_chip
-                                              : params_.hbo_local;
-                std::uint32_t b = bp.base;
-                bool moved = false;
-                while (!moved && tmp != kHboFree) {
-                    if (detail::lock_clock_ns(ctx) >= deadline)
-                        return abandon_clean(ctx);
-                    backoff(ctx, &b, bp.factor, bp.cap, params_.jitter,
-                            obs::BackoffClass::Local);
-                    tmp = hbo_poll(ctx, word_, mine);
-                    if (tmp != kHboFree && level_of(ctx, tmp) != level)
-                        moved = true; // holder distance changed; re-dispatch
-                }
-            }
-            if (tmp == kHboFree)
-                break;
-            if (!gate_wait_until(ctx, deadline))
-                return abandon_clean(ctx);
-            tmp = hbo_poll(ctx, word_, mine);
-        }
-        obs::probe(ctx, obs::LockEvent::Acquired, word_.token(), 1);
-        return true;
+        return acquire_until(ctx, Deadline::after(ctx, timeout_ns));
     }
 
     /** Host-side abandonment accounting (see locks/timed.hpp). */
@@ -169,43 +112,6 @@ class HboHierLock
         return gates_[static_cast<std::size_t>(ctx.node())];
     }
 
-    /** Deadline-bounded version of the entry/restart gate wait. */
-    bool
-    gate_wait_until(Ctx& ctx, std::uint64_t deadline)
-    {
-        obs::probe_gate(ctx, my_gate(ctx), gate_token_, word_.token());
-        while (ctx.load(my_gate(ctx)) == gate_token_) {
-            if (detail::lock_clock_ns(ctx) >= deadline)
-                return false;
-            ctx.delay(kTimedPollQuantum);
-        }
-        return true;
-    }
-
-    /** Timed-out with no gate closed by us: nothing to undo. */
-    bool
-    abandon_clean(Ctx& ctx)
-    {
-        counters_.on_abandon();
-        obs::probe(ctx, obs::LockEvent::AbandonStart, word_.token());
-        obs::probe(ctx, obs::LockEvent::AbandonDone, word_.token(),
-                   static_cast<std::uint64_t>(obs::AbandonOutcome::Clean));
-        return false;
-    }
-
-    /** Timed-out while our gate closure is published: re-open it. */
-    bool
-    abandon_reopening_gate(Ctx& ctx)
-    {
-        counters_.on_abandon();
-        obs::probe(ctx, obs::LockEvent::AbandonStart, word_.token());
-        obs::probe(ctx, obs::LockEvent::GateOpen, word_.token(), 1);
-        ctx.store(my_gate(ctx), HboGtLock<Ctx>::kGateDummyValue);
-        obs::probe(ctx, obs::LockEvent::AbandonDone, word_.token(),
-                   static_cast<std::uint64_t>(obs::AbandonOutcome::Clean));
-        return false;
-    }
-
     Level
     level_of(Ctx& ctx, std::uint64_t tmp) const
     {
@@ -217,11 +123,22 @@ class HboHierLock
         return Level::Remote;
     }
 
-    void
-    acquire_slowpath(Ctx& ctx, std::uint64_t tmp)
+    /**
+     * Dispatch on the holder's distance, untimed (NoDeadline) or timed
+     * (Deadline). Unlike HBO_GT, no extra backoff when the holder moves.
+     * @return false only when @p deadline expired (abandonment accounted).
+     */
+    template <typename D>
+    bool
+    acquire_until(Ctx& ctx, const D& deadline)
     {
+        obs::probe(ctx, obs::LockEvent::AcquireAttempt, word_.token(),
+                   D::kTimed);
         const std::uint64_t mine = chip_token(ctx);
-        while (true) {
+        if (!gate_wait(ctx, my_gate(ctx), gate_token_, word_.token(), deadline))
+            return abandon_clean(ctx, &counters_, word_.token());
+        std::uint64_t tmp = ctx.cas(word_, kHboFree, mine);
+        while (tmp != kHboFree) {
             const Level level = level_of(ctx, tmp);
             if (level == Level::Remote) {
                 // Gated remote spinning, exactly as HBO_GT.
@@ -229,18 +146,20 @@ class HboHierLock
                 obs::probe(ctx, obs::LockEvent::GatePublish, word_.token(),
                            static_cast<std::uint64_t>(ctx.node()));
                 ctx.store(my_gate(ctx), gate_token_);
+                const auto reopen = [&] {
+                    open_gate(ctx, my_gate(ctx), word_.token(),
+                              HboGtLock<Ctx>::kGateDummyValue);
+                };
                 while (true) {
+                    if (deadline.expired(ctx))
+                        return abandon_clean(ctx, &counters_, word_.token(),
+                                             reopen);
                     backoff(ctx, &b, 2, params_.hbo_remote_cap, params_.jitter,
                             obs::BackoffClass::Remote);
                     tmp = hbo_poll(ctx, word_, mine);
-                    if (tmp == kHboFree) {
-                        obs::probe(ctx, obs::LockEvent::GateOpen, word_.token(), 1);
-                        ctx.store(my_gate(ctx), HboGtLock<Ctx>::kGateDummyValue);
-                        return;
-                    }
-                    if (level_of(ctx, tmp) != Level::Remote) {
-                        obs::probe(ctx, obs::LockEvent::GateOpen, word_.token(), 1);
-                        ctx.store(my_gate(ctx), HboGtLock<Ctx>::kGateDummyValue);
+                    if (tmp == kHboFree ||
+                        level_of(ctx, tmp) != Level::Remote) {
+                        reopen();
                         break;
                     }
                 }
@@ -250,22 +169,25 @@ class HboHierLock
                                               : params_.hbo_local;
                 std::uint32_t b = bp.base;
                 bool moved = false;
-                while (!moved) {
+                while (!moved && tmp != kHboFree) {
+                    if (deadline.expired(ctx))
+                        return abandon_clean(ctx, &counters_, word_.token());
                     backoff(ctx, &b, bp.factor, bp.cap, params_.jitter,
                             obs::BackoffClass::Local);
                     tmp = hbo_poll(ctx, word_, mine);
-                    if (tmp == kHboFree)
-                        return;
-                    if (level_of(ctx, tmp) != level)
+                    if (tmp != kHboFree && level_of(ctx, tmp) != level)
                         moved = true; // holder distance changed; re-dispatch
                 }
             }
-            obs::probe_gate(ctx, my_gate(ctx), gate_token_, word_.token());
-            ctx.spin_while_equal(my_gate(ctx), gate_token_);
-            tmp = hbo_poll(ctx, word_, mine);
             if (tmp == kHboFree)
-                return;
+                break;
+            if (!gate_wait(ctx, my_gate(ctx), gate_token_, word_.token(),
+                           deadline))
+                return abandon_clean(ctx, &counters_, word_.token());
+            tmp = hbo_poll(ctx, word_, mine);
         }
+        obs::probe(ctx, obs::LockEvent::Acquired, word_.token(), D::kTimed);
+        return true;
     }
 
     Machine* machine_;

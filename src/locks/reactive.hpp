@@ -50,9 +50,7 @@ class ReactiveLock
     void
     acquire(Ctx& ctx)
     {
-        obs::probe(ctx, obs::LockEvent::AcquireAttempt, word_.token());
-        acquire_impl(ctx);
-        obs::probe(ctx, obs::LockEvent::Acquired, word_.token());
+        (void)acquire_until(ctx, NoDeadline{});
     }
 
     bool
@@ -67,42 +65,19 @@ class ReactiveLock
     }
 
     /**
-     * Timed acquisition. Spin mode is a deadline-bounded TATAS_EXP on the
-     * word; queue mode bounds the MCS wait (the queue's own abandonment
-     * protocol) and then the word take — a timeout after winning queue
-     * headship hands the grant to the successor before abandoning, so the
-     * queue keeps draining behind a wedged (or dead) word holder. Timed
-     * acquires do not participate in mode adaptation: the streak counter
-     * is driven by the plain acquire path's cost signal only.
+     * Timed acquisition: acquire() with spin mode's TATAS_EXP
+     * deadline-bounded; queue mode bounds the MCS wait (the queue's own
+     * abandonment protocol) and then the word take — a timeout after
+     * winning queue headship hands the grant to the successor before
+     * abandoning, so the queue keeps draining behind a wedged (or dead)
+     * word holder. Timed acquires do not participate in mode adaptation:
+     * the streak counter is driven by the plain acquire path's cost
+     * signal only.
      */
     bool
     try_acquire_for(Ctx& ctx, std::uint64_t timeout_ns)
     {
-        const std::uint64_t deadline = detail::deadline_after(ctx, timeout_ns);
-        obs::probe(ctx, obs::LockEvent::AcquireAttempt, word_.token(), 1);
-        if (ctx.load(mode_) == kSpinMode) {
-            if (!spin_acquire_until(ctx, deadline))
-                return abandon(ctx);
-            queued_ = false;
-            obs::probe(ctx, obs::LockEvent::Acquired, word_.token(), 1);
-            return true;
-        }
-        const std::uint64_t now = detail::lock_clock_ns(ctx);
-        if (!queue_.try_acquire_for(ctx, deadline > now ? deadline - now : 0)) {
-            // The queue accounted its own abandonment (its counters, its
-            // lock id); close this lock's attempt without double-counting.
-            obs::probe(ctx, obs::LockEvent::AbandonStart, word_.token());
-            obs::probe(ctx, obs::LockEvent::AbandonDone, word_.token(),
-                       static_cast<std::uint64_t>(obs::AbandonOutcome::Clean));
-            return false;
-        }
-        if (!spin_acquire_until(ctx, deadline)) {
-            queue_.release(ctx);
-            return abandon(ctx);
-        }
-        queued_ = true;
-        obs::probe(ctx, obs::LockEvent::Acquired, word_.token(), 1);
-        return true;
+        return acquire_until(ctx, Deadline::after(ctx, timeout_ns));
     }
 
     /** Host-side abandonment accounting: this lock's own word-take
@@ -136,88 +111,94 @@ class ReactiveLock
     std::uint64_t lock_id() const { return word_.token(); }
 
   private:
-    void
-    acquire_impl(Ctx& ctx)
-    {
-        if (ctx.load(mode_) == kSpinMode) {
-            const std::uint64_t attempts = spin_acquire(ctx);
-            // Holder-side adaptation: repeated contended acquires flip the
-            // lock into queue mode (we hold the lock, so the write is safe).
-            streak_ = attempts > 1 ? streak_ + 1 : 0;
-            if (streak_ >= params_.reactive_slow_threshold) {
-                ctx.store(mode_, kQueueMode);
-                streak_ = 0;
-            }
-            queued_ = false;
-            return;
-        }
-
-        // Queue mode: wait in the MCS queue, then take the word with an
-        // eager spin (only the queue head and stale spin-mode stragglers
-        // compete for it).
-        const bool waited = queue_.acquire_reporting(ctx);
-        (void)spin_acquire(ctx);
-        // Flip back once arrivals repeatedly find the queue empty — the
-        // contention that justified queueing is gone.
-        streak_ = waited ? 0 : streak_ + 1;
-        if (streak_ >= params_.reactive_fast_threshold) {
-            ctx.store(mode_, kSpinMode);
-            streak_ = 0;
-        }
-        queued_ = true;
-    }
-
     static constexpr std::uint64_t kSpinMode = 0;
     static constexpr std::uint64_t kQueueMode = 1;
 
-    /** TATAS_EXP on the word; returns the number of tas attempts. */
-    std::uint64_t
-    spin_acquire(Ctx& ctx)
+    /**
+     * Spin or queue per the mode word, untimed (NoDeadline) or timed
+     * (Deadline); only an untimed acquire adapts the mode.
+     * @return false only when @p deadline expired (abandonment accounted).
+     */
+    template <typename D>
+    bool
+    acquire_until(Ctx& ctx, const D& deadline)
     {
-        std::uint64_t attempts = 1;
-        if (ctx.tas(word_) == 0)
-            return attempts;
-        std::uint32_t b = params_.tatas.base;
-        while (true) {
-            backoff(ctx, &b, params_.tatas.factor, params_.tatas.cap,
-                    params_.jitter, obs::BackoffClass::Generic);
-            if (ctx.load(word_) != 0)
-                continue;
-            ++attempts;
-            if (ctx.tas(word_) == 0)
-                return attempts;
+        obs::probe(ctx, obs::LockEvent::AcquireAttempt, word_.token(),
+                   D::kTimed);
+        std::uint64_t attempts = 0;
+        if (ctx.load(mode_) == kSpinMode) {
+            if (!spin_acquire(ctx, deadline, &attempts))
+                return abandon_clean(ctx, &counters_, word_.token());
+            if constexpr (!D::kTimed) {
+                // Holder-side adaptation: repeated contended acquires flip
+                // the lock into queue mode (we hold the lock, so the write
+                // is safe).
+                streak_ = attempts > 1 ? streak_ + 1 : 0;
+                if (streak_ >= params_.reactive_slow_threshold) {
+                    ctx.store(mode_, kQueueMode);
+                    streak_ = 0;
+                }
+            }
+            queued_ = false;
+        } else {
+            // Queue mode: wait in the MCS queue, then take the word with
+            // an eager spin (only the queue head and stale spin-mode
+            // stragglers compete for it).
+            bool waited = true;
+            if constexpr (D::kTimed) {
+                if (!queue_.try_acquire_for(ctx, deadline.remaining_ns(ctx))) {
+                    // The queue accounted its own abandonment (its
+                    // counters, its lock id); close this lock's attempt
+                    // without double-counting.
+                    return abandon_clean(ctx, nullptr, word_.token());
+                }
+            } else {
+                waited = queue_.acquire_reporting(ctx);
+            }
+            if (!spin_acquire(ctx, deadline, &attempts)) {
+                queue_.release(ctx);
+                return abandon_clean(ctx, &counters_, word_.token());
+            }
+            if constexpr (!D::kTimed) {
+                // Flip back once arrivals repeatedly find the queue empty
+                // — the contention that justified queueing is gone.
+                streak_ = waited ? 0 : streak_ + 1;
+                if (streak_ >= params_.reactive_fast_threshold) {
+                    ctx.store(mode_, kSpinMode);
+                    streak_ = 0;
+                }
+            }
+            queued_ = true;
         }
+        obs::probe(ctx, obs::LockEvent::Acquired, word_.token(), D::kTimed);
+        return true;
     }
 
-    /** Deadline-bounded TATAS_EXP on the word. Overshoot is bounded by
-     *  one capped backoff plus one poll. */
+    /**
+     * TATAS_EXP on the word; adds the tas attempts made to @p attempts
+     * (the untimed streak's cost signal). Overshoot of a timed spin is
+     * bounded by one capped backoff plus one poll.
+     * @return false only when @p deadline expired (nothing to undo).
+     */
+    template <typename D>
     bool
-    spin_acquire_until(Ctx& ctx, std::uint64_t deadline)
+    spin_acquire(Ctx& ctx, const D& deadline, std::uint64_t* attempts)
     {
+        ++*attempts;
         if (ctx.tas(word_) == 0)
             return true;
         std::uint32_t b = params_.tatas.base;
         while (true) {
-            if (detail::lock_clock_ns(ctx) >= deadline)
+            if (deadline.expired(ctx))
                 return false;
             backoff(ctx, &b, params_.tatas.factor, params_.tatas.cap,
                     params_.jitter, obs::BackoffClass::Generic);
             if (ctx.load(word_) != 0)
                 continue;
+            ++*attempts;
             if (ctx.tas(word_) == 0)
                 return true;
         }
-    }
-
-    /** Timed out with nothing left behind: account and probe. */
-    bool
-    abandon(Ctx& ctx)
-    {
-        counters_.on_abandon();
-        obs::probe(ctx, obs::LockEvent::AbandonStart, word_.token());
-        obs::probe(ctx, obs::LockEvent::AbandonDone, word_.token(),
-                   static_cast<std::uint64_t>(obs::AbandonOutcome::Clean));
-        return false;
     }
 
     Ref word_;

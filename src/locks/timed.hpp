@@ -3,13 +3,19 @@
  * Timed acquisition: one uniform entry point over every lock.
  *
  * Locks that implement native timed abandonment expose
- * `try_acquire_for(ctx, timeout_ns)` (MCS, CLH_TRY, cohort, the HBO
- * hierarchy — see docs/robustness.md for the per-family abandonment
- * semantics). `acquire_for` dispatches to that when present and falls
- * back to a try_acquire/backoff loop otherwise, so callers never need to
- * know which family they hold. The fallback's overshoot is bounded by
- * one backoff period plus one attempt; native paths document their own
- * (tighter) bounds.
+ * `try_acquire_for(ctx, timeout_ns)` (MCS, CLH_TRY, COHORT, HBO_GT,
+ * HBO_GT_SD, HBO_HIER, REACTIVE and ADAPTIVE — see docs/robustness.md
+ * for the per-family abandonment semantics). `acquire_for` dispatches to
+ * that when present and falls back to a try_acquire/backoff loop
+ * otherwise, so callers never need to know which family they hold. The
+ * fallback's overshoot is bounded by one backoff period plus one attempt;
+ * native paths document their own (tighter) bounds.
+ *
+ * The gated and word-spinning locks (HBO_GT, HBO_GT_SD, HBO_HIER,
+ * REACTIVE, ADAPTIVE) write each wait loop once, templated on a deadline
+ * type: acquire() instantiates it with NoDeadline, try_acquire_for() with
+ * a Deadline. gate_wait(), open_gate() and abandon_clean() below are the
+ * pieces those loops share.
  */
 #ifndef NUCALOCK_LOCKS_TIMED_HPP
 #define NUCALOCK_LOCKS_TIMED_HPP
@@ -20,6 +26,7 @@
 
 #include "locks/context.hpp"
 #include "locks/params.hpp"
+#include "obs/probe.hpp"
 
 namespace nucalock::locks {
 
@@ -121,7 +128,131 @@ deadline_after(Ctx& ctx, std::uint64_t timeout_ns)
     return saturating_deadline(lock_clock_ns(ctx), timeout_ns);
 }
 
+/** The undo of an abandonment that published nothing. */
+struct NothingToUndo
+{
+    void operator()() const {}
+};
+
 } // namespace detail
+
+/**
+ * Deadline type of an untimed acquire: it never expires, so a wait loop
+ * instantiated with it compiles to the plain (untimed) loop. A type, not
+ * a sentinel time: an untimed wait must not read the clock, and its gate
+ * wait must stay a watcher wait rather than a poll (see gate_wait).
+ */
+struct NoDeadline
+{
+    static constexpr bool kTimed = false;
+
+    template <typename Ctx>
+    constexpr bool
+    expired(Ctx&) const
+    {
+        return false;
+    }
+};
+
+/** An absolute deadline on the lock clock (detail::lock_clock_ns). */
+class Deadline
+{
+  public:
+    static constexpr bool kTimed = true;
+
+    /** now + @p timeout_ns, saturated (detail::saturating_deadline). */
+    template <typename Ctx>
+    static Deadline
+    after(Ctx& ctx, std::uint64_t timeout_ns)
+    {
+        return Deadline(detail::deadline_after(ctx, timeout_ns));
+    }
+
+    template <typename Ctx>
+    bool
+    expired(Ctx& ctx) const
+    {
+        return detail::lock_clock_ns(ctx) >= at_ns_;
+    }
+
+    /** Budget left (0 once expired), for an embedded lock's own
+     *  try_acquire_for. */
+    template <typename Ctx>
+    std::uint64_t
+    remaining_ns(Ctx& ctx) const
+    {
+        const std::uint64_t now = detail::lock_clock_ns(ctx);
+        return at_ns_ > now ? at_ns_ - now : 0;
+    }
+
+  private:
+    explicit Deadline(std::uint64_t at_ns) : at_ns_(at_ns) {}
+
+    std::uint64_t at_ns_;
+};
+
+/**
+ * The GT gate wait (Figure 1 line 5, and again at "restart"): wait while
+ * this node's @p gate names the lock (@p token). Untimed it is
+ * spin_while_equal, which the simulator turns into a watcher wait; the
+ * watcher has no timeout, so a timed wait polls the gate every
+ * kTimedPollQuantum instead. Both emit the one GateBlocked/GatePassed
+ * probe first.
+ * @return false when @p deadline expired with the gate still closed.
+ */
+template <LockContext Ctx, typename D>
+bool
+gate_wait(Ctx& ctx, typename Ctx::Ref gate, std::uint64_t token,
+          std::uint64_t lock_id, [[maybe_unused]] const D& deadline)
+{
+    obs::probe_gate(ctx, gate, token, lock_id);
+    if constexpr (D::kTimed) {
+        while (ctx.load(gate) == token) {
+            if (deadline.expired(ctx))
+                return false;
+            ctx.delay(kTimedPollQuantum);
+        }
+    } else {
+        ctx.spin_while_equal(gate, token);
+    }
+    return true;
+}
+
+/**
+ * Re-open a gate this thread closed (Figure 1's "gate := dummy"): the
+ * one GateOpen probe, then the store of @p dummy. Called on the success
+ * path and from abandon_clean's undo, so both leave the gate the same.
+ */
+template <LockContext Ctx>
+void
+open_gate(Ctx& ctx, typename Ctx::Ref gate, std::uint64_t lock_id,
+          std::uint64_t dummy)
+{
+    obs::probe(ctx, obs::LockEvent::GateOpen, lock_id, 1);
+    ctx.store(gate, dummy);
+}
+
+/**
+ * A timed attempt's clean exit, when nothing it leaves behind is still
+ * linked: count the abandonment in @p counters (null when an embedded
+ * lock's own try_acquire_for already counted it), then run @p undo —
+ * the caller re-opening what it closed, e.g. its node's gate — between
+ * AbandonStart and AbandonDone(Clean), so the abandon latency covers it.
+ * @return false, the timed attempt's result.
+ */
+template <LockContext Ctx, typename Undo = detail::NothingToUndo>
+bool
+abandon_clean(Ctx& ctx, AbandonCounters* counters, std::uint64_t lock_id,
+              Undo&& undo = Undo{})
+{
+    if (counters != nullptr)
+        counters->on_abandon();
+    obs::probe(ctx, obs::LockEvent::AbandonStart, lock_id);
+    undo();
+    obs::probe(ctx, obs::LockEvent::AbandonDone, lock_id,
+               static_cast<std::uint64_t>(obs::AbandonOutcome::Clean));
+    return false;
+}
 
 /**
  * Fallback timed acquisition for locks without native abandonment:

@@ -12,11 +12,15 @@
  *    an identical node-local hammer workload.
  *  - acquire_for edge cases: zero timeout, deadline mid-backoff, timeout
  *    while the holder is preempted by an injected fault.
+ *  - The timed (try_acquire_for) paths are pinned bit-for-bit: a hash of
+ *    the standard fault campaign and of a holderdeath run per lock.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string_view>
 
+#include "check/campaign.hpp"
 #include "harness/newbench.hpp"
 #include "locks/any_lock.hpp"
 #include "locks/timed.hpp"
@@ -561,6 +565,124 @@ TEST(StarvationBoundTest, HboGtSdBoundsRemoteStarvationWhereTatasDoesNot)
     EXPECT_GT(tatas, kFairnessWindow)
         << "TATAS unexpectedly fair: " << tatas << " bypasses";
     EXPECT_LT(sd, tatas);
+}
+
+// ---------------------------------------------------------------------------
+// Timed-path pins: the deadline-bounded slowpaths must not drift
+// ---------------------------------------------------------------------------
+
+class Fnv
+{
+  public:
+    void
+    add(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            hash_ ^= (v >> (8 * i)) & 0xff;
+            hash_ *= 0x100000001b3ULL;
+        }
+    }
+
+    void
+    add(std::string_view s)
+    {
+        for (const char c : s) {
+            hash_ ^= static_cast<unsigned char>(c);
+            hash_ *= 0x100000001b3ULL;
+        }
+        add(s.size());
+    }
+
+    std::uint64_t value() const { return hash_; }
+
+  private:
+    std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/**
+ * Exact fingerprints of the timed acquisition paths. The untimed paths are
+ * pinned by the acquisition-order hashes elsewhere; these two pin every
+ * lock's try_acquire_for: the standard fault campaign (224 cells, every
+ * abandonment exit) and a holderdeath run, where survivors time out
+ * behind the dead holder. Both are probe-independent, so the constants
+ * hold with and without -DNUCALOCK_NO_PROBES.
+ */
+TEST(TimedPathTest, TimedPathsArePinned)
+{
+    check::CampaignConfig cfg;
+    cfg.jobs = 1;
+    const check::CampaignResult campaign = check::run_campaign(cfg);
+    ASSERT_EQ(campaign.cells.size(), 224u);
+    EXPECT_EQ(campaign.failures, 0u);
+    Fnv cells;
+    for (const check::CampaignCell& c : campaign.cells) {
+        cells.add(c.lock);
+        cells.add(c.preset);
+        for (const std::uint64_t v :
+             {c.steps, c.acquisitions, c.timeouts, c.max_overshoot_ns,
+              c.abandon.abandons, c.abandon.parked, c.abandon.grant_races,
+              c.abandon.reclaims, c.abandon.rejoins, c.abandon.unparks})
+            cells.add(v);
+    }
+    EXPECT_EQ(cells.value(), 0x464378db1359427aULL) << std::hex << cells.value();
+
+    // holderdeath: survivors time out behind the dead holder. death: a
+    // thread dies outside the lock and every later acquire is a timed
+    // one under live contention (the only one of the two that exercises
+    // a lock migrating away from a timed local waiter).
+    struct Pin
+    {
+        LockKind kind;
+        std::uint64_t order_hash;
+        std::uint64_t memory_accesses;
+        std::uint64_t total_time;
+    };
+    const auto check_pins = [](const char* plan, const std::vector<Pin>& pins) {
+        NewBenchConfig config;
+        config.topology = Topology::symmetric(2, 4);
+        config.threads = 8;
+        config.iterations_per_thread = 30;
+        config.seed = 1;
+        config.fault_plan =
+            *FaultPlan::parse(plan, config.seed, config.threads);
+        for (const Pin& pin : pins) {
+            ASSERT_TRUE(lock_supports_native_timeout(pin.kind));
+            const BenchResult r = run_newbench(pin.kind, config);
+            EXPECT_EQ(r.acquisition_order_hash, pin.order_hash)
+                << plan << " " << lock_name(pin.kind) << " 0x" << std::hex
+                << r.acquisition_order_hash;
+            EXPECT_EQ(r.sim_memory_accesses, pin.memory_accesses)
+                << plan << " " << lock_name(pin.kind);
+            EXPECT_EQ(r.total_time, pin.total_time)
+                << plan << " " << lock_name(pin.kind);
+        }
+        const std::vector<LockKind> kinds = all_lock_kinds();
+        EXPECT_EQ(static_cast<std::ptrdiff_t>(pins.size()),
+                  std::count_if(kinds.begin(), kinds.end(),
+                                lock_supports_native_timeout));
+    };
+    check_pins("holderdeath",
+               {
+                   {LockKind::Mcs, 0xb023709ee230383dULL, 510785, 20645921},
+                   {LockKind::HboGt, 0x1396e9a716250d37ULL, 161072, 20277900},
+                   {LockKind::HboGtSd, 0x1396e9a716250d37ULL, 301783, 20275869},
+                   {LockKind::HboHier, 0x7638f9b7d6364757ULL, 175660, 20277651},
+                   {LockKind::Reactive, 0x137f20a71610d8cbULL, 5135, 20498355},
+                   {LockKind::Cohort, 0x823571c86531cbddULL, 26945, 20343243},
+                   {LockKind::ClhTry, 0xb023709ee230383dULL, 510558, 20624726},
+                   {LockKind::Adaptive, 0x137f20a71610d8cbULL, 5138, 20500881},
+               });
+    check_pins("death",
+               {
+                   {LockKind::Mcs, 0xb023709ee230383dULL, 511567, 20717657},
+                   {LockKind::HboGt, 0x404fe565e11ddefbULL, 75618, 14568873},
+                   {LockKind::HboGtSd, 0x7c17f6ebd0717f6dULL, 162940, 21910406},
+                   {LockKind::HboHier, 0xd115614d686f5dbULL, 84129, 14341914},
+                   {LockKind::Reactive, 0xfec48f261fd4b0bfULL, 46948, 34010862},
+                   {LockKind::Cohort, 0x908b86db0bdbc1efULL, 56264, 17926653},
+                   {LockKind::ClhTry, 0xb023709ee230383dULL, 511344, 20691896},
+                   {LockKind::Adaptive, 0x4869e44c64855593ULL, 91506, 17600219},
+               });
 }
 
 } // namespace

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdint>
 #include <thread>
+#include <vector>
 
 #include "locks/any_lock.hpp"
 #include "locks/guard.hpp"
@@ -143,16 +144,40 @@ TEST_P(NativeLockTest, AcquireForExpiresWhileHeld)
     }
 }
 
-TEST_P(NativeLockTest, AbandonSoakLeavesNoLinkedNodes)
+TEST_P(NativeLockTest, AcquireForSucceedsUncontended)
+{
+    NativeMachine machine(Topology::symmetric(2, 2));
+    AnyLock<NativeContext> lock(machine, GetParam());
+    NativeContext ctx = machine.make_context(0, 0);
+    ASSERT_TRUE(lock.acquire_for(ctx, 1'000'000'000));
+    EXPECT_FALSE(lock.try_acquire(ctx));
+    lock.release(ctx);
+    EXPECT_TRUE(lock.try_acquire(ctx));
+    lock.release(ctx);
+}
+
+std::string
+native_kind_name(const testing::TestParamInfo<LockKind>& param_info)
+{
+    return lock_name(param_info.param);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllLocks, NativeLockTest,
+                         testing::ValuesIn(all_lock_kinds()),
+                         native_kind_name);
+
+/** Locks with native timed abandonment: the polling fallback of the
+ *  others never parks a node, so there is nothing for a soak to audit. */
+class NativeTimedLockTest : public testing::TestWithParam<LockKind>
+{
+};
+
+TEST_P(NativeTimedLockTest, AbandonSoakLeavesNoLinkedNodes)
 {
     // The leak audit from docs/robustness.md, as a live soak: hammer the
     // timed path until plenty of deadlines expire, then require that every
     // abandoned queue node was recovered (reclaimed by a releaser's walk
-    // or rejoined/unparked by its owner). Only meaningful for locks with
-    // native timed abandonment; the polling fallback never parks nodes.
-    if (!lock_supports_native_timeout(GetParam()))
-        GTEST_SKIP() << "no native timed-abandonment path to soak";
-
+    // or rejoined/unparked by its owner).
     NativeMachine machine(Topology::symmetric(2, 2));
     AnyLock<NativeContext> lock(machine, GetParam());
     const NativeRef counter = machine.alloc(0);
@@ -204,26 +229,18 @@ TEST_P(NativeLockTest, AbandonSoakLeavesNoLinkedNodes)
         << " rejoins=" << stats.rejoins << " unparks=" << stats.unparks;
 }
 
-TEST_P(NativeLockTest, AcquireForSucceedsUncontended)
+std::vector<LockKind>
+native_timeout_kinds()
 {
-    NativeMachine machine(Topology::symmetric(2, 2));
-    AnyLock<NativeContext> lock(machine, GetParam());
-    NativeContext ctx = machine.make_context(0, 0);
-    ASSERT_TRUE(lock.acquire_for(ctx, 1'000'000'000));
-    EXPECT_FALSE(lock.try_acquire(ctx));
-    lock.release(ctx);
-    EXPECT_TRUE(lock.try_acquire(ctx));
-    lock.release(ctx);
+    std::vector<LockKind> kinds;
+    for (const LockKind kind : all_lock_kinds())
+        if (lock_supports_native_timeout(kind))
+            kinds.push_back(kind);
+    return kinds;
 }
 
-std::string
-native_kind_name(const testing::TestParamInfo<LockKind>& param_info)
-{
-    return lock_name(param_info.param);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllLocks, NativeLockTest,
-                         testing::ValuesIn(all_lock_kinds()),
+INSTANTIATE_TEST_SUITE_P(NativeTimeout, NativeTimedLockTest,
+                         testing::ValuesIn(native_timeout_kinds()),
                          native_kind_name);
 
 TEST(NativeMachine, AllocArraySpacing)
